@@ -59,8 +59,6 @@ def _build_engine(n: int, budget: int, seed: int, overlap: bool):
     source = skewed_source(domain_sizes, exponent=0.4, seed=seed)
     engine = Engine(
         EngineConfig(
-            backend="sharded",
-            shards=4,
             overlap=overlap,
             k=100,
             budget_per_round=budget,
@@ -180,8 +178,6 @@ def run_htap_fig12(
         ),
         meta={
             "n": n,
-            "backend": "sharded",  # pinned via EngineConfig, whatever the
-                                   # process default says
             "rounds": rounds,
             "budget": budget,
             "load_seconds": loads,

@@ -3,12 +3,13 @@
 The scenario the service PR must hold up under: ~200 concurrent tenants
 with a zipf-skewed arrival/polling pattern (a few hot tenants dominate
 traffic — the realistic shape of a shared estimation endpoint) against
-one sharded engine, entirely through the HTTP service.  Measures:
+one engine on the default config, entirely through the HTTP service.
+Measures:
 
 * **submit storm** — all tenants submitted concurrently from a thread
   pool (arrival order nondeterministic by construction);
-* **governed rounds** — ``POST /v1/rounds`` with parallel execution,
-  while zipf-skewed pollers hammer the observer endpoints
+* **governed rounds** — ``POST /v1/rounds``, while zipf-skewed pollers
+  hammer the observer endpoints
   (``/v1/ledger``, ``/v1/tasks/{name}/reports``, ``/v1/healthz``) and
   their latency is recorded — the lock-narrowing contract priced;
 * **parity** — every estimate obtained over HTTP must be bit-identical
@@ -33,7 +34,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro import HiddenDatabase
 from repro.api import Engine, EngineConfig, EstimationTask
 from repro.core.aggregates import count_all, sum_measure
 from repro.core.estimators.base import RoundReport
@@ -48,7 +48,6 @@ POLLERS = int(os.environ.get("REPRO_BENCH_SERVICE_POLLERS", "8"))
 
 SEED = 11
 DOMAIN_SIZES = [12, 10, 12, 8, 6, 5]
-SHARDS = 4
 K = 20
 
 
@@ -60,22 +59,12 @@ def _engine() -> Engine:
         measure_sampler=lambda rng: (rng.uniform(1.0, 100.0),),
         seed=SEED,
     )
-    config = EngineConfig(
-        backend="sharded",
-        shards=SHARDS,
-        parallelism=4,
-        k=K,
-        budget_per_round=20,
-        seed=SEED,
+    engine = Engine(
+        EngineConfig(k=K, budget_per_round=20, seed=SEED),
+        schema=source.schema,
     )
-    db = HiddenDatabase(
-        source.schema,
-        backend=config.backend,
-        block_size=config.block_size,
-        backend_options=config.backend_factory_options(),
-    )
-    db.insert_many(source.batch_columns(N_TUPLES))
-    return Engine(config, db=db)
+    engine.load(source.batch_columns(N_TUPLES))
+    return engine
 
 
 def _tenant_plan(tenants: int):
@@ -193,7 +182,7 @@ def run_service_load(
     try:
         for _position in range(rounds):
             begin = time.perf_counter()
-            response = client.run_rounds(rounds=1, parallel=4)
+            response = client.run_rounds(rounds=1)
             round_walls.append(time.perf_counter() - begin)
             result = response["results"][0]
             served.append({
@@ -229,7 +218,7 @@ def run_service_load(
     )
     return FigureResult(
         "service_load",
-        f"{tenants} tenants through the HTTP service, sharded engine",
+        f"{tenants} tenants through the HTTP service",
         x_label="round",
         y_label="wall seconds",
         xs=list(range(1, rounds + 1)),
@@ -243,7 +232,6 @@ def run_service_load(
         meta={
             "tenants": tenants,
             "n": N_TUPLES,
-            "shards": SHARDS,
             "submit_seconds": submit_seconds,
             "polls": len(poll_latencies),
             "poll_p50_ms": p50 * 1000,

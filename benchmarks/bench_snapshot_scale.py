@@ -1,20 +1,19 @@
-"""Mapped-store scale benchmark: fig12 shape at n >= 2M, plus durability.
+"""Snapshot scale benchmark: fig12 shape at n >= 2M, plus durability.
 
 Runs the seeded multi-tenant estimation workload (bulk load, heavy round
 churn, three estimator tenants — the fig12 shape, scaled up) on the
-``mapped`` backend with a durable store directory, takes an atomic
+default engine config with a durable store directory, takes an atomic
 snapshot mid-run, and then proves the durability contract at scale: an
 engine restored from that snapshot re-runs the remaining rounds
 *bit-identically* to the uninterrupted pass.
 
-The schema is narrow (m=12), so prefix keys pack into the backend's
-memory-mapped int64 runs and the columnar query plane reads zero-copy
-memmap slices throughout.
+The schema is narrow (m=12), so prefix keys pack into int64 and the
+columnar query plane stays on its vector paths throughout.
 
 Environment knobs::
 
-    REPRO_BENCH_MAPPED_N       tuples to load (default 2_000_000)
-    REPRO_BENCH_MAPPED_ROUNDS  churn/estimation rounds (default 5)
+    REPRO_BENCH_SNAPSHOT_N       tuples to load (default 2_000_000)
+    REPRO_BENCH_SNAPSHOT_ROUNDS  churn/estimation rounds (default 5)
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from repro.experiments.figures.common import FigureResult
 
 ALGORITHMS = ("RESTART", "REISSUE", "RS")
 
-MAPPED_N = int(os.environ.get("REPRO_BENCH_MAPPED_N", "2000000"))
-MAPPED_ROUNDS = int(os.environ.get("REPRO_BENCH_MAPPED_ROUNDS", "5"))
+SNAPSHOT_N = int(os.environ.get("REPRO_BENCH_SNAPSHOT_N", "2000000"))
+SNAPSHOT_ROUNDS = int(os.environ.get("REPRO_BENCH_SNAPSHOT_ROUNDS", "5"))
 
 
 def _submit_tenants(engine: Engine, seed: int) -> None:
@@ -62,23 +61,22 @@ def _churn_rounds(engine, schedule, rng, rounds, *, advance_first):
     return walls, trace
 
 
-def run_mapped_scale(
-    n: int = MAPPED_N,
-    rounds: int = MAPPED_ROUNDS,
+def run_snapshot_scale(
+    n: int = SNAPSHOT_N,
+    rounds: int = SNAPSHOT_ROUNDS,
     budget: int = 300,
     seed: int = 0,
 ) -> FigureResult:
     snapshot_round = max(1, rounds // 2)
     # Sizes 4..8 over 12 attributes: ~9e8 leaf vectors, so 2M *distinct*
-    # rows rejection-sample cleanly, while prefix keys still pack into the
-    # backend's narrow int64 memmap runs.
+    # rows rejection-sample cleanly, while prefix keys still pack into
+    # int64.
     domain_sizes = [4 + (i % 5) for i in range(12)]
     source = skewed_source(domain_sizes, exponent=0.4, seed=seed)
-    store_dir = tempfile.mkdtemp(prefix="bench-mapped-")
+    store_dir = tempfile.mkdtemp(prefix="bench-snapshot-")
     try:
         engine = Engine(
             EngineConfig(
-                backend="mapped",
                 k=100,
                 budget_per_round=budget,
                 seed=seed,
@@ -127,19 +125,18 @@ def run_mapped_scale(
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
     return FigureResult(
-        "mapped_scale",
-        f"fig12-shaped workload, n={n}, mapped store + kill/restore",
+        "snapshot_scale",
+        f"fig12-shaped workload, n={n}, snapshot + kill/restore",
         x_label="round",
         y_label="wall seconds",
         xs=list(range(1, rounds + 1)),
-        series={"mapped": walls},
+        series={"rounds": walls},
         notes=(
             f"load {load_seconds:.2f}s, snapshot {snapshot_seconds:.2f}s, "
             f"restore {restore_seconds:.2f}s; restored tail bit-identical"
         ),
         meta={
             "n": n,
-            "backend": "mapped",  # pinned via EngineConfig
             "snapshot_round": snapshot_round,
             "load_seconds": load_seconds,
             "snapshot_seconds": snapshot_seconds,
@@ -149,9 +146,12 @@ def run_mapped_scale(
     )
 
 
-def test_mapped_scale(figure_bench):
-    figure = figure_bench(run_mapped_scale)
+def test_snapshot_scale(figure_bench):
+    figure = figure_bench(run_snapshot_scale)
     # The durability assert already ran inside the builder; the perf gate
     # (tools in CI) bounds the recorded wall_seconds against baselines.
     assert figure.meta["resumed_identical"]
-    assert figure.meta["n"] >= 2_000_000 or "REPRO_BENCH_MAPPED_N" in os.environ
+    assert (
+        figure.meta["n"] >= 2_000_000
+        or "REPRO_BENCH_SNAPSHOT_N" in os.environ
+    )

@@ -17,7 +17,6 @@ Extension points:
 """
 
 from ..core.estimators.registry import (
-    ESTIMATOR_CLASSES,
     available_estimators,
     register_estimator,
     resolve_estimator,
@@ -25,12 +24,9 @@ from ..core.estimators.registry import (
 from ..hiddendb.backends import (
     available_backends,
     get_default_backend,
-    get_default_backend_options,
     register_backend,
     set_default_backend,
-    set_default_backend_options,
     using_backend,
-    using_backend_options,
 )
 from ..hiddendb.store import (
     get_data_plane,
@@ -44,38 +40,19 @@ from ..obs import (
     set_default_observability,
     using_observability,
 )
-from ..tuning import (
-    CostModel,
-    TuningController,
-    TuningDecision,
-    WorkloadProfile,
-)
-from .config import (
-    ROUND_EXECUTORS,
-    SEED_POLICIES,
-    EngineConfig,
-    get_default_parallelism,
-    set_default_parallelism,
-    using_parallelism,
-)
+from .config import SEED_POLICIES, EngineConfig
 from .engine import GAP_TASK, Engine, EstimationTask, ReportGap, TaskHandle
 from .persistence import has_snapshot, load_engine, save_engine
 
 __all__ = [
-    "ESTIMATOR_CLASSES",
     "Engine",
     "EngineConfig",
     "EstimationTask",
     "GAP_TASK",
-    "ROUND_EXECUTORS",
     "ReportGap",
     "SEED_POLICIES",
     "TaskHandle",
     "OBS",
-    "CostModel",
-    "TuningController",
-    "TuningDecision",
-    "WorkloadProfile",
     "has_snapshot",
     "load_engine",
     "save_engine",
@@ -83,21 +60,15 @@ __all__ = [
     "available_estimators",
     "get_data_plane",
     "get_default_backend",
-    "get_default_backend_options",
     "get_default_observability",
-    "get_default_parallelism",
     "overriding_data_plane",
     "register_backend",
     "register_estimator",
     "resolve_estimator",
     "set_data_plane",
     "set_default_backend",
-    "set_default_backend_options",
     "set_default_observability",
-    "set_default_parallelism",
     "using_backend",
-    "using_backend_options",
     "using_data_plane",
     "using_observability",
-    "using_parallelism",
 ]

@@ -26,7 +26,6 @@ them with one documented precedence order, highest first:
 from __future__ import annotations
 
 import dataclasses
-import os
 from contextlib import contextmanager
 from typing import Iterator
 from zlib import crc32
@@ -37,7 +36,6 @@ from ..hiddendb.backends import (
     get_default_backend,
     resolve_backend,
     using_backend,
-    using_backend_options,
 )
 from ..hiddendb.store import (
     DATA_PLANES,
@@ -49,44 +47,6 @@ from ..obs import get_default_observability, using_observability
 #: How per-task estimator seeds derive from :attr:`EngineConfig.seed` when
 #: a task does not pin one explicitly.
 SEED_POLICIES = ("per-task", "shared")
-
-#: Executors ``run_round`` can fan active tasks out to when
-#: ``parallelism > 1``: worker threads sharing the process (default), or
-#: forked worker processes handing estimator state back over the strict-JSON
-#: wire seam (POSIX fork platforms only).
-ROUND_EXECUTORS = ("thread", "fork")
-
-#: Process-wide default round parallelism (level 2 of the precedence
-#: order); configs with ``parallelism=None`` resolve against it.
-_default_parallelism = 1
-
-
-def get_default_parallelism() -> int:
-    """The worker count engines use when their config does not pin one."""
-    return _default_parallelism
-
-
-def set_default_parallelism(workers: int) -> int:
-    """Set the process-wide default parallelism; returns the previous."""
-    global _default_parallelism
-    if workers < 1:
-        raise ExperimentError("parallelism must be at least 1")
-    previous = _default_parallelism
-    _default_parallelism = workers
-    return previous
-
-
-@contextmanager
-def using_parallelism(workers: int | None) -> Iterator[int]:
-    """Scope the default parallelism (``None`` leaves it untouched)."""
-    if workers is None:
-        yield get_default_parallelism()
-        return
-    previous = set_default_parallelism(workers)
-    try:
-        yield workers
-    finally:
-        set_default_parallelism(previous)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,17 +77,6 @@ class EngineConfig:
         verbatim.  A task's explicit ``seed`` always wins.
     block_size:
         Storage-engine block/buffer tuning knob, threaded to the backend.
-    shards:
-        Shard count of the ``sharded`` storage backend (``None`` = the
-        backend's default).  Only meaningful when the engine's database
-        resolves to the sharded engine; setting it alongside an explicit
-        non-sharded ``backend`` raises.
-    parallelism:
-        Worker threads :meth:`~repro.api.Engine.run_round` fans active
-        tasks out to (and, on a sharded database, the per-shard bulk
-        dispatch width).  ``1`` = sequential; results are bit-identical
-        either way.  ``None`` defers to the process default
-        (:func:`set_default_parallelism`, built-in ``1``).
     overlap:
         Enable the HTAP epoch split: ``advance_round`` publishes an
         immutable :class:`~repro.hiddendb.epoch.StoreEpoch` and
@@ -139,14 +88,6 @@ class EngineConfig:
         at the next publish flip rather than immediately.  Incompatible
         with tasks that install ``on_query`` hooks (the intra-round
         update model needs read-your-writes).
-    round_executor:
-        ``"thread"`` (default): round workers are threads.  ``"fork"``:
-        with ``parallelism > 1``, each active task runs in a forked
-        worker process against the fork-time copy-on-write snapshot and
-        hands its report + estimator state back over the
-        :mod:`repro.core.wire` strict-JSON seam.  Requires a platform
-        with ``fork`` (raises at round time otherwise); results remain
-        bit-identical.
     report_log_limit:
         Upper bound on retained reports: both the engine's execution-order
         log (drained by ``stream_reports()``) and each task's history on
@@ -156,10 +97,7 @@ class EngineConfig:
         bound it in long-running services.
     store_dir:
         Durable store directory (see :mod:`repro.api.persistence` and
-        ``docs/format.md``).  ``Engine.save()`` defaults to it, and a
-        ``mapped`` database lays its scratch run files under
-        ``<store_dir>/runs`` instead of the system temp dir, so one
-        directory holds everything the deployment writes.  ``None``
+        ``docs/format.md``).  ``Engine.save()`` defaults to it.  ``None``
         (default) = no durable directory; snapshots then need an explicit
         path.
     observability:
@@ -170,16 +108,6 @@ class EngineConfig:
         var > off).  Estimates are bit-identical either way; enabling is
         engine-wide (the registry is process-global) and an engine never
         *disables* a registry another engine enabled.
-    auto:
-        Enable cost-based self-tuning (:mod:`repro.tuning`, see
-        ``docs/tuning.md``): the engine picks backend / shard count /
-        parallelism from a cost model at construction and re-evaluates at
-        every ``advance_round``, migrating the store's indexes online at
-        the epoch-publish seam when the observed profile shifts.
-        Explicitly set fields (``backend``, ``shards``, ``parallelism``)
-        act as pins the tuner never overrides — the per-knob opt-out.
-        Estimates are bit-identical with tuning on or off; only wall
-        time changes.
     """
 
     backend: str | None = None
@@ -189,45 +117,24 @@ class EngineConfig:
     seed: int = 0
     seed_policy: str = "per-task"
     block_size: int = DEFAULT_BLOCK_SIZE
-    shards: int | None = None
-    parallelism: int | None = None
     overlap: bool = False
-    round_executor: str = "thread"
     report_log_limit: int | None = None
     store_dir: str | None = None
     observability: bool | None = None
-    auto: bool = False
 
     def __post_init__(self) -> None:
         if self.observability is not None and not isinstance(
             self.observability, bool
         ):
             raise ExperimentError("observability must be a bool or None")
-        if not isinstance(self.auto, bool):
-            raise ExperimentError("auto must be a bool")
         if self.k < 1:
             raise ExperimentError("k must be at least 1")
         if self.budget_per_round < 1:
             raise ExperimentError("budget_per_round must be positive")
         if self.block_size < 2:
             raise ExperimentError("block_size must be at least 2")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ExperimentError("shards must be at least 1")
-            if self.backend is not None and self.backend != "sharded":
-                raise ExperimentError(
-                    "shards only applies to the 'sharded' backend, got "
-                    f"backend={self.backend!r}"
-                )
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ExperimentError("parallelism must be at least 1")
         if self.report_log_limit is not None and self.report_log_limit < 1:
             raise ExperimentError("report_log_limit must be positive")
-        if self.round_executor not in ROUND_EXECUTORS:
-            raise ExperimentError(
-                f"unknown round executor {self.round_executor!r}; "
-                f"available: {', '.join(ROUND_EXECUTORS)}"
-            )
         if self.seed_policy not in SEED_POLICIES:
             raise ExperimentError(
                 f"unknown seed policy {self.seed_policy!r}; "
@@ -260,12 +167,6 @@ class EngineConfig:
             get_data_plane()
         )
 
-    def resolved_parallelism(self) -> int:
-        """The round parallelism, after the precedence order."""
-        return self.parallelism if self.parallelism is not None else (
-            get_default_parallelism()
-        )
-
     def resolved_observability(self) -> bool:
         """Whether this config enables the observability plane, after the
         precedence order (explicit field > ``set_default_observability``
@@ -273,39 +174,6 @@ class EngineConfig:
         return self.observability if self.observability is not None else (
             get_default_observability()
         )
-
-    def backend_factory_options(self) -> dict:
-        """The backend-specific factory options this config implies.
-
-        The sharded engine takes its shard count and — so multi-core
-        engines parallelize shard maintenance with the same knob that
-        parallelizes their rounds — the bulk-dispatch worker width.  The
-        mapped engine takes the directory its scratch run files live in:
-        ``<store_dir>/runs`` when this config pins a ``store_dir``, so a
-        durable deployment keeps every file it writes under one root.
-        Raises rather than silently dropping ``shards`` when the
-        *resolved* backend is not sharded (``__post_init__`` can only
-        check an explicit ``backend`` field; the process default is known
-        here, at engine build time).
-        """
-        resolved = self.resolved_backend()
-        if resolved != "sharded":
-            if self.shards is not None:
-                raise ExperimentError(
-                    f"shards={self.shards} requires the 'sharded' "
-                    f"backend, but this engine resolves to "
-                    f"{self.resolved_backend()!r}"
-                )
-            if resolved == "mapped" and self.store_dir is not None:
-                return {"path": os.path.join(self.store_dir, "runs")}
-            return {}
-        options: dict = {}
-        if self.shards is not None:
-            options["shards"] = self.shards
-        workers = self.resolved_parallelism()
-        if workers > 1:
-            options["workers"] = workers
-        return options
 
     @contextmanager
     def apply(self) -> Iterator["EngineConfig"]:
@@ -316,18 +184,10 @@ class EngineConfig:
         non-``None`` ``data_plane`` becomes a context-local override
         (:func:`~repro.hiddendb.store.overriding_data_plane`): it governs
         everything run inside the scope on this thread and is invisible
-        to concurrent threads — no process-global state is mutated.  A
-        non-``None`` ``shards`` scopes the sharded engine's default
-        options; a non-``None`` ``parallelism`` scopes the process
-        default engines resolve against.
+        to concurrent threads — no process-global state is mutated.
         """
-        shard_options = (
-            {"shards": self.shards} if self.shards is not None else None
-        )
         with using_backend(self.backend), overriding_data_plane(
             self.data_plane
-        ), using_backend_options("sharded", shard_options), using_parallelism(
-            self.parallelism
         ), using_observability(self.observability):
             yield self
 

@@ -28,27 +28,16 @@ service boundary:
   for round ``i+1`` overlaps round ``i``'s queries — the HTAP split.
   Estimates stay bit-identical; only *visibility* changes (mutations
   reach estimators at the next publish flip);
-* within a round, tasks run over the round-static store (or the pinned
-  epoch) — sequentially in submission order, or fanned out to a worker
-  pool (``run_round(parallel=N)`` / ``EngineConfig.parallelism``), as
-  threads or — ``EngineConfig(round_executor="fork")`` — as forked
-  worker processes that hand their report + estimator state back over
-  the :mod:`repro.core.wire` strict-JSON seam.  Each task owns its RNG,
-  its interface counters, and its session, and the store is
-  read-concurrent (see :class:`~repro.hiddendb.store.TupleStore`), so
-  every schedule is bit-identical to the sequential one; reports are
-  merged in deterministic submission order either way (see
-  ``tests/test_engine_concurrency.py``).
+* within a round, tasks run one after another in submission order over
+  the round-static store (or the pinned epoch).  Each task owns its RNG,
+  its interface counters, and its session, so its estimates do not
+  depend on which other tasks share the round.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import multiprocessing
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Iterator, Mapping, Sequence
@@ -56,13 +45,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from ..core.aggregates import AnySpec
 from ..core.estimators.base import RoundReport
 from ..core.estimators.registry import EstimatorFactory, resolve_estimator
-from ..errors import (
-    DuplicateTaskError,
-    ExperimentError,
-    UnknownTaskError,
-    error_from_wire,
-    wire_error,
-)
+from ..errors import DuplicateTaskError, ExperimentError, UnknownTaskError
 from ..hiddendb.database import HiddenDatabase, reading_epoch
 from ..hiddendb.epoch import StoreEpoch
 from ..hiddendb.interface import TopKInterface
@@ -70,12 +53,6 @@ from ..hiddendb.ranking import RankingPolicy
 from ..hiddendb.schema import Schema
 from ..hiddendb.store import get_data_plane, overriding_data_plane
 from ..obs import OBS
-from ..tuning import (
-    ACTION_MIGRATE,
-    Candidate,
-    TuningController,
-    WorkloadProfile,
-)
 from .config import EngineConfig
 
 #: Task-name slot of the truncation markers ``stream_reports()`` yields
@@ -86,7 +63,6 @@ GAP_TASK = "__gap__"
 # created once per submit and cached on the TaskHandle.
 _ROUNDS_TOTAL = OBS.counter("repro_rounds_total")
 _ROUND_SECONDS = OBS.histogram("repro_round_seconds")
-_WORKER_UTILIZATION = OBS.gauge("repro_worker_utilization")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,38 +299,17 @@ class Engine:
         # opting in must never switch off another engine's plane.
         if self.config.resolved_observability():
             OBS.enable()
-        #: Self-tuning controller (``config.auto``); ``None`` when the
-        #: config is fully hand-picked.  Explicit config fields become
-        #: pins the tuner must respect — the per-knob opt-out.
-        self._tuning: TuningController | None = None
-        self._tuning_marks: dict | None = None
-        if self.config.auto:
-            pinned: dict = {}
-            if self.config.backend is not None:
-                pinned["backend"] = self.config.backend
-            if self.config.shards is not None:
-                pinned["shards"] = self.config.shards
-            if self.config.parallelism is not None:
-                pinned["parallelism"] = self.config.parallelism
-            self._tuning = TuningController(pinned=pinned)
         if db is None:
             if schema is None:
                 raise ExperimentError(
                     "Engine needs either an existing db or a schema to "
                     "build one"
                 )
-            if self._tuning is not None:
-                # Construction is the first safe seam: nothing exists
-                # yet, so the initial (priors-only) choice costs nothing
-                # to apply.
-                choice = self._tuning.initial_decision().choice
-                self.config = self._config_with_choice(choice)
             db = HiddenDatabase(
                 schema,
                 ranking=ranking,
                 block_size=self.config.block_size,
                 backend=self.config.backend,
-                backend_options=self.config.backend_factory_options(),
             )
         elif schema is not None:
             raise ExperimentError("pass either db or schema, not both")
@@ -363,24 +318,7 @@ class Engine:
                 "ranking only applies when the engine builds the database; "
                 "an existing db keeps the policy it was built with"
             )
-        elif self.config.shards is not None and db.backend != "sharded":
-            # An existing db stands as built; a shard count that cannot
-            # apply to it must not be silently dropped.  (A pre-built
-            # *sharded* db is fine — the Experiment flow constructs it
-            # under config.apply(), which scopes the same shard count.)
-            raise ExperimentError(
-                f"config pins shards={self.config.shards} but the "
-                f"supplied database uses backend {db.backend!r}"
-            )
         self.db = db
-        if self._tuning is not None and self._tuning.current is None:
-            # An existing db stands as built: adopt it as the tuner's
-            # current choice (later observations may still migrate it).
-            self._tuning.current = Candidate(
-                db.backend,
-                self.config.shards if db.backend == "sharded" else None,
-                self.config.resolved_parallelism(),
-            )
         #: Session lock: task table + report log.  Held only for short,
         #: bounded critical sections — never across estimator execution —
         #: so ``stream_reports()`` / ``budget_ledger()`` from other
@@ -420,9 +358,7 @@ class Engine:
         override visible only to code this engine runs on the current
         thread — the process-global switch is never touched, so engines
         on other threads (pinned to anything or unpinned) proceed fully
-        concurrently and can never observe this engine's plane.  Worker
-        threads of a parallel round re-establish the pin themselves
-        (ContextVars do not cross thread boundaries).
+        concurrently and can never observe this engine's plane.
         """
         with self._round_lock, overriding_data_plane(self.config.data_plane):
             yield
@@ -554,131 +490,12 @@ class Engine:
         store (with all churn applied so far) is frozen into a new
         :class:`~repro.hiddendb.epoch.StoreEpoch` and installed as the
         version the next ``run_round`` pins its estimators to.
-
-        With ``config.auto`` this is additionally the tuning seam: the
-        controller observes the windowed workload profile and, when the
-        cost model predicts a big enough win, migrates the store's
-        indexes to a new backend/shard layout right here — after the
-        publish flip, so overlap-mode readers keep serving the epoch
-        just published while the O(n) rebuild proceeds, and content is
-        untouched, so estimates are bit-identical across the swap.
         """
         with self._write_scoped():
             round_index = self.db.advance_round()
             if self.config.overlap:
                 self.db.publish_epoch()
-            if self._tuning is not None:
-                self._auto_tune()
             return round_index
-
-    # ------------------------------------------------------------------
-    # Self-tuning (config.auto; see repro.tuning and docs/tuning.md)
-    # ------------------------------------------------------------------
-    def _config_with_choice(self, choice: Candidate) -> EngineConfig:
-        """The engine config with a tuning choice folded in.
-
-        Pinned fields are unchanged by construction — the controller's
-        candidate grid never contradicts a pin — so the uniform replace
-        is safe.
-        """
-        return self.config.replace(
-            backend=choice.backend,
-            shards=choice.shards if choice.backend == "sharded" else None,
-            parallelism=choice.parallelism,
-        )
-
-    def _tuning_profile(self) -> WorkloadProfile:
-        """The workload window since the previous tuning observation.
-
-        Built purely from the engine's own deterministic counters — live
-        tuple count, the database's tid allocator (every inserted row
-        consumes exactly one tid, on both data planes), the tenants'
-        lifetime query totals, and the round index — so the profile
-        stream replays bit-identically and never depends on wall clock
-        or the observability plane being on.
-        """
-        marks = self._tuning_marks or {}
-        n = len(self.db.store)
-        allocated = self.db._next_tid
-        with self._lock:
-            queries = sum(
-                handle.queries_total for handle in self._tasks.values()
-            )
-            tenants = len(self._tasks)
-        round_index = self.db._round
-        rounds = max(1, round_index - marks.get("round_index",
-                                                round_index - 1))
-        # Row-accurate churn: inserts come straight off the tid
-        # allocator; deletes are whatever inserts did not show up as
-        # size growth.
-        inserts = max(0, allocated - marks.get("allocated", 0))
-        grew = n - marks.get("store_size", 0)
-        deletes = max(0, inserts - grew)
-        churn_total = inserts + deletes
-        delete_share = deletes / churn_total if churn_total > 0 else 0.0
-        queries_delta = max(0, queries - marks.get("queries_total", 0))
-        self._tuning_marks = {
-            "round_index": round_index,
-            "allocated": allocated,
-            "store_size": n,
-            "queries_total": queries,
-        }
-        return WorkloadProfile(
-            store_size=n,
-            churn_per_round=churn_total / rounds,
-            delete_share=delete_share,
-            queries_per_round=queries_delta / rounds,
-            tenants=tenants,
-            rounds=rounds,
-        )
-
-    def _auto_tune(self) -> None:
-        """One controller observation; applies a migrate decision.
-
-        Called from ``advance_round`` under the writer scope (and after
-        the publish flip in overlap mode), which is exactly the
-        serialization the migration seam requires.
-        """
-        decision = self._tuning.observe(self._tuning_profile())
-        if decision.action != ACTION_MIGRATE:
-            return
-        choice = decision.choice
-        config = self._config_with_choice(choice)
-        # Derive factory options from the *new* config so knobs the
-        # candidate does not model (a mapped run directory under
-        # store_dir, the sharded dispatch width) come along too.
-        options = config.backend_factory_options()
-        if (
-            choice.backend != self.db.backend
-            or options != dict(self.db.store.backend_options)
-        ):
-            # Only a changed storage layout needs the O(n) rebuild; a
-            # parallelism-only decision just rebinds the config.
-            self.db.migrate_backend(choice.backend, options)
-        self.config = config
-
-    def tuning_report(self) -> dict:
-        """A stamped, strict-JSON audit of the self-tuning plane.
-
-        Always callable: with ``auto=False`` it reports
-        ``enabled: false`` and the (hand-picked) effective config, so
-        the service telemetry block has one shape either way.
-        """
-        from ..core.wire import stamp
-
-        payload: dict = {
-            "enabled": self._tuning is not None,
-            "backend": self.backend,
-            "effective": {
-                "backend": self.config.resolved_backend(),
-                "shards": self.config.shards,
-                "parallelism": self.config.resolved_parallelism(),
-                "overlap": self.config.overlap,
-            },
-        }
-        if self._tuning is not None:
-            payload.update(self._tuning.report())
-        return stamp(payload)
 
     # ------------------------------------------------------------------
     # Task lifecycle
@@ -726,129 +543,27 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def _run_estimator(
-        self,
-        handle: TaskHandle,
-        plane: str,
-        epoch: StoreEpoch | None = None,
+        self, handle: TaskHandle, epoch: StoreEpoch | None
     ) -> RoundReport:
-        """One task's round, pinned to the round's resolved data plane
-        (and, in overlap mode, to the round's published epoch).
-
-        ``plane`` is captured on the calling thread *after* every override
-        is in scope (engine pin > caller's context-local override >
-        process default), because worker threads do not inherit the
-        submitting thread's ContextVars — without the explicit pin a
-        parallel round would silently drop a caller-scoped plane.  The
-        epoch pin is a ContextVar too, hence re-established here for the
-        same reason.
-        """
-        with overriding_data_plane(plane):
-            if epoch is None:
-                return handle.estimator.run_round()
-            with reading_epoch(self.db, epoch):
-                return handle.estimator.run_round()
-
-    def _forked_round_main(self, handle, plane, epoch, conn) -> None:
-        """Entry point of one forked round worker (runs in the child).
-
-        Sends either ``{"report", "estimator"}`` (both strict-JSON, the
-        :mod:`repro.core.wire` seam) or ``{"error"}`` over the pipe, then
-        exits via ``os._exit`` — skipping interpreter teardown so the
-        child's copies of weakref finalizers (e.g. the mapped backend's
-        run-directory cleanup) can never touch state shared with the
-        parent.
-        """
-        try:
-            # First thing in the child: all instrumentation is guarded by
-            # OBS.enabled, so disabling here guarantees the child never
-            # touches registry or span-log locks (another thread may have
-            # held one at fork time — touching it would deadlock).  The
-            # child's metrics are intentionally lost; the parent records
-            # the round outcome when it adopts the report.
-            OBS.disable()
-            try:
-                report = self._run_estimator(handle, plane, epoch)
-                payload = {
-                    "report": report.to_dict(),
-                    "estimator": handle.estimator.state_to_wire(),
-                }
-            except BaseException as exc:
-                payload = {"error": wire_error(exc)}
-            conn.send_bytes(json.dumps(payload).encode("utf-8"))
-            conn.close()
-        finally:
-            os._exit(0)
-
-    def _run_round_forked(
-        self, selected, plane, epoch, workers
-    ) -> list[RoundReport | BaseException]:
-        """Fan the round out to forked worker processes, in waves of
-        ``workers``.
-
-        Each child runs its task against the fork-time copy-on-write
-        snapshot of the store and hands report + estimator state back as
-        strict JSON; the parent adopts the state
-        (:meth:`~repro.core.estimators.base.Estimator.restore_state`), so
-        the next round continues bit-identically to an in-process run.
-        """
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            raise ExperimentError(
-                "round_executor='fork' needs a platform with fork "
-                "(POSIX); use the thread executor here"
-            ) from None
-        produced: list[RoundReport | BaseException] = [None] * len(selected)
-        indexed = list(enumerate(selected))
-        for start in range(0, len(indexed), workers):
-            running = []
-            for index, handle in indexed[start:start + workers]:
-                receiver, sender = ctx.Pipe(duplex=False)
-                worker = ctx.Process(
-                    target=self._forked_round_main,
-                    args=(handle, plane, epoch, sender),
-                    daemon=True,
-                )
-                worker.start()
-                sender.close()
-                running.append((index, handle, worker, receiver))
-            for index, handle, worker, receiver in running:
-                try:
-                    data = receiver.recv_bytes()
-                except EOFError:
-                    data = None
-                worker.join()
-                receiver.close()
-                if data is None:
-                    produced[index] = ExperimentError(
-                        f"forked round worker for task {handle.name!r} "
-                        f"died without reporting "
-                        f"(exit code {worker.exitcode})"
-                    )
-                    continue
-                payload = json.loads(data.decode("utf-8"))
-                if "error" in payload:
-                    produced[index] = error_from_wire(payload["error"])
-                    continue
-                handle.estimator.restore_state(payload["estimator"])
-                produced[index] = RoundReport.from_dict(payload["report"])
-        return produced
+        """One task's round, pinned in overlap mode to the round's
+        published epoch."""
+        if epoch is None:
+            return handle.estimator.run_round()
+        with reading_epoch(self.db, epoch):
+            return handle.estimator.run_round()
 
     def run_round(
-        self,
-        tasks: Sequence[str] | None = None,
-        *,
-        parallel: int | None = None,
+        self, tasks: Sequence[str] | None = None
     ) -> dict[str, RoundReport]:
         """Run one round for every (or the named) active task.
 
-        Tasks run over the shared, round-static store; each spends only
-        its own budget.  ``parallel`` is the worker-thread count (``None``
-        defers to ``config.parallelism``, then the process default;
-        ``1`` = sequential).  Estimates are bit-identical across schedules
-        — every task owns its RNG, interface counters, and session, and
-        the store honors the reader-concurrency contract — and reports
-        are recorded in deterministic submission order either way.
+        Tasks run one after another — in submission order, or in the
+        order ``tasks`` names them — over the shared, round-static store;
+        each spends only its own budget.  A name given twice runs once,
+        at its first position.  If a task raises, the tasks after it do
+        not run this round; the reports of the tasks before it are still
+        recorded (their budget was spent and their RNG advanced), and
+        then the error propagates.
 
         The round barrier is held for the duration — sequentially that
         makes mutations wait; in overlap mode estimators are pinned to
@@ -860,44 +575,33 @@ class Engine:
         ``{task name: report}``.
         """
         if not OBS.enabled:
-            return self._run_round_inner(tasks, parallel)
+            return self._run_round_inner(tasks)
         _ROUNDS_TOTAL.inc()
         started = perf_counter()
         with OBS.span("engine.run_round"):
             try:
-                return self._run_round_inner(tasks, parallel)
+                return self._run_round_inner(tasks)
             finally:
                 _ROUND_SECONDS.observe(perf_counter() - started)
 
     def _run_round_inner(
-        self,
-        tasks: Sequence[str] | None,
-        parallel: int | None,
+        self, tasks: Sequence[str] | None
     ) -> dict[str, RoundReport]:
-        with self._scoped():
-            # The effective plane, with every override already in scope
-            # (the engine's pin via _scoped, or the caller's own
-            # context-local override); workers re-pin it explicitly.
-            plane = get_data_plane()
+        # Pin the resolved plane for the whole round, whatever its source:
+        # every query asks for it, and without a context-local override
+        # each ask reads REPRO_DATA_PLANE from the environment again.
+        with self._scoped(), overriding_data_plane(get_data_plane()):
             with self._lock:
                 if tasks is None:
                     selected = list(self._tasks.values())
                 else:
-                    selected = [self[name] for name in tasks]
-            workers = (
-                parallel
-                if parallel is not None
-                else self.config.resolved_parallelism()
-            )
-            if workers < 1:
-                raise ExperimentError("parallel must be at least 1")
-            hooked = any(
-                getattr(handle.estimator, "on_query", None) is not None
-                for handle in selected
-            )
+                    selected = [self[name] for name in dict.fromkeys(tasks)]
             epoch: StoreEpoch | None = None
             if self.config.overlap:
-                if hooked:
+                if any(
+                    getattr(handle.estimator, "on_query", None) is not None
+                    for handle in selected
+                ):
                     # The intra-round update driver needs its mutations
                     # visible to the very next query — epoch pinning
                     # defers visibility to the next publish flip.
@@ -916,102 +620,40 @@ class Engine:
                         epoch = self.db.published
                         if epoch is None:
                             epoch = self.db.publish_epoch()
-            if OBS.enabled:
-                # Per-task wall times both feed the per-task histograms
-                # and, summed against the round wall below, the worker-
-                # utilization gauge.  The list append is GIL-atomic, so
-                # pool workers share it without a lock.
-                round_started = perf_counter()
-                task_seconds: list[float] = []
-
-                def runner(handle, plane, epoch):
-                    task_started = perf_counter()
-                    try:
-                        with OBS.span("round.task"):
-                            return self._run_estimator(handle, plane, epoch)
-                    finally:
-                        elapsed = perf_counter() - task_started
-                        handle._obs_task_seconds.observe(elapsed)
-                        task_seconds.append(elapsed)
-            else:
-                task_seconds = []
-                runner = self._run_estimator
-            # Outcomes are RoundReports or the exception a task raised;
-            # completed tasks' reports are recorded either way (their
-            # budget was spent and their RNG advanced — dropping them
-            # would desync the ledger from actual interface usage).
-            produced: list[RoundReport | BaseException] = []
-            if workers > 1 and len(selected) > 1:
-                if hooked:
-                    # The intra-round update driver mutates the store
-                    # between queries — incompatible with concurrent
-                    # readers.  (A single hooked task runs sequentially
-                    # below regardless of the worker count.)
-                    raise ExperimentError(
-                        "run_round(parallel>1) cannot serve estimators "
-                        "with an on_query mutation hook (intra-round "
-                        "update model)"
-                    )
-                if self.config.round_executor == "fork":
-                    produced = self._run_round_forked(
-                        selected, plane, epoch, workers
-                    )
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=min(workers, len(selected)),
-                        thread_name_prefix="repro-round",
-                    ) as pool:
-                        futures = [
-                            pool.submit(runner, handle, plane, epoch)
-                            for handle in selected
-                        ]
-                        for future in futures:
-                            try:
-                                produced.append(future.result())
-                            except BaseException as exc:
-                                produced.append(exc)
-            else:
-                for handle in selected:
-                    try:
-                        produced.append(runner(handle, plane, epoch))
-                    except BaseException as exc:
-                        # Sequential semantics: later tasks do not run
-                        # this round (matches the pre-parallel engine).
-                        produced.append(exc)
-                        break
-            if (
-                OBS.enabled
-                and workers > 1
-                and len(selected) > 1
-                and self.config.round_executor != "fork"
-                and task_seconds
-            ):
-                wall = perf_counter() - round_started
-                effective = min(workers, len(selected))
-                if wall > 0:
-                    _WORKER_UTILIZATION.set(
-                        min(1.0, sum(task_seconds) / (effective * wall))
-                    )
+            run = self._run_observed if OBS.enabled else self._run_estimator
+            completed: list[tuple[TaskHandle, RoundReport]] = []
+            error: BaseException | None = None
+            for handle in selected:
+                try:
+                    completed.append((handle, run(handle, epoch)))
+                except BaseException as exc:
+                    error = exc
+                    break
             with self._lock:
-                reports: dict[str, RoundReport] = {}
-                error: BaseException | None = None
-                for handle, outcome in zip(selected, produced):
-                    if isinstance(outcome, BaseException):
-                        if error is None:
-                            error = outcome
-                        continue
-                    handle._record(outcome)
+                for handle, report in completed:
+                    handle._record(report)
                     # A task cancelled (or cancelled-and-replaced) while
                     # the round ran keeps the report on its own handle —
                     # returned to the cancel() caller — but stays out of
                     # the engine log, which must agree with the ledger
                     # about whatever currently owns the name.
                     if self._tasks.get(handle.name) is handle:
-                        self._append_log(handle.name, outcome)
-                    reports[handle.name] = outcome
-                if error is not None:
-                    raise error
-                return reports
+                        self._append_log(handle.name, report)
+            if error is not None:
+                raise error
+            return {handle.name: report for handle, report in completed}
+
+    def _run_observed(
+        self, handle: TaskHandle, epoch: StoreEpoch | None
+    ) -> RoundReport:
+        """:meth:`_run_estimator` under a ``round.task`` span, feeding the
+        task's wall time to its per-task histogram."""
+        task_started = perf_counter()
+        try:
+            with OBS.span("round.task"):
+                return self._run_estimator(handle, epoch)
+        finally:
+            handle._obs_task_seconds.observe(perf_counter() - task_started)
 
     def stream_reports(
         self, task: str | None = None

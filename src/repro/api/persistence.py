@@ -1,8 +1,7 @@
 """Atomic epoch snapshots: save a live engine, restore it bit-identically.
 
-The durability layer of the ``mapped`` storage tier (and of every other
-backend — snapshots are backend-agnostic).  A *store directory* holds at
-most one committed snapshot::
+The durability layer of the engine (snapshots are backend-agnostic).  A
+*store directory* holds at most one committed snapshot::
 
     <store>/MANIFEST.json        # the commit point (atomic rename target)
     <store>/epoch-<N>/           # the committed epoch's payload
@@ -13,7 +12,6 @@ most one committed snapshot::
         block-00000.scores.f64
         block-00000.alive.u8
         ...
-    <store>/runs/                # mapped-backend scratch (never snapshot)
 
 The write protocol (normative spec: ``docs/format.md``) is
 write-new-then-rename: a fresh ``epoch-<N+1>/`` directory is fully written
@@ -53,6 +51,7 @@ import numpy as np
 
 from ..core.wire import decode_float, encode_float, stamp, wire_version
 from ..errors import ExperimentError, WireFormatError
+from ..hiddendb.backends import available_backends
 from ..hiddendb.database import HiddenDatabase
 from ..hiddendb.ranking import MeasureScore, RandomScore, RecencyScore
 from ..hiddendb.schema import Attribute, Schema
@@ -221,7 +220,8 @@ def _engine_state(engine, extra) -> dict:
         },
         "store": {
             "block_size": store._block_size,
-            "backend_options": dict(store.backend_options),
+            # Kept in format 1 for readers that expect it; always empty.
+            "backend_options": {},
             "epoch": store._epoch,
             "blocks": [
                 {"rows": len(block.batch), "alive": block.alive_count}
@@ -446,7 +446,8 @@ def load_engine(path: str):
     restored heap (their *contents* are a pure function of the live
     tuples; estimators only observe query results, so rebuild equals
     recovery).  Raises :class:`~repro.errors.ExperimentError` when no
-    snapshot has ever committed at ``path``.
+    snapshot has ever committed at ``path``, or when the snapshot names a
+    storage backend this build does not register.
     """
     from ..core.estimators.base import RoundReport
     from ..service.protocol import specs_from_wire
@@ -464,6 +465,12 @@ def load_engine(path: str):
     with open(os.path.join(epoch_path, "state.json"), "rb") as handle:
         state = json.loads(handle.read())
     wire_version(state)  # malformed version markers fail loudly
+    if state["backend"] not in available_backends():
+        raise ExperimentError(
+            f"snapshot in {path!r} uses storage backend "
+            f"{state['backend']!r}, which this build does not ship "
+            f"(available: {', '.join(available_backends())})"
+        )
     config = EngineConfig.from_dict(state["config"])
     schema = Schema(
         [
@@ -477,7 +484,6 @@ def load_engine(path: str):
         ranking=_ranking_from_wire(state["ranking"]),
         block_size=state["store"]["block_size"],
         backend=state["backend"],
-        backend_options=state["store"]["backend_options"],
     )
     _restore_store(db.store, state["store"], epoch_path)
     db._round = int(state["db"]["round"])

@@ -16,7 +16,6 @@ from .aggregates import (
 from .allocation import GroupParams, combined_variance, integer_allocation, waterfill
 from .drilldown import DrillOutcome, drill_from_root, reissue_update
 from .estimators import (
-    ESTIMATOR_CLASSES,
     EstimatorBase,
     ReissueEstimator,
     RestartEstimator,
@@ -36,7 +35,6 @@ from .tree import QueryTree
 __all__ = [
     "AggregateSpec",
     "DrillOutcome",
-    "ESTIMATOR_CLASSES",
     "EstimatorBase",
     "GroupParams",
     "QueryTree",

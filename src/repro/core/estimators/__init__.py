@@ -2,7 +2,6 @@
 
 from .base import DrillDownRecord, EstimatorBase, RoundReport
 from .registry import (
-    ESTIMATOR_CLASSES,
     available_estimators,
     register_estimator,
     resolve_estimator,
@@ -17,7 +16,6 @@ register_estimator("RS", RsEstimator)
 
 __all__ = [
     "DrillDownRecord",
-    "ESTIMATOR_CLASSES",
     "EstimatorBase",
     "ReissueEstimator",
     "RestartEstimator",

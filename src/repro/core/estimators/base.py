@@ -263,7 +263,7 @@ class EstimatorBase:
                 for record in self.records
             ],
             "history": [report.to_dict() for report in self.history],
-            "stats": self.interface.stats.as_dict(),
+            "stats": self.interface.stats.to_dict(),
         })
 
     def restore_state(self, payload: Mapping) -> None:

@@ -10,11 +10,6 @@ can register — the shipped estimator *classes* qualify directly, and
 wrappers may adapt the interface first (see
 :mod:`repro.extensions.counts`, which wraps the plain top-k interface in a
 count-revealing one before constructing its estimator).
-
-The legacy ``ESTIMATOR_CLASSES`` dict is kept as an alias of the live
-registry: code that reads it keeps working and sees new registrations;
-code that mutated it (never a documented API) should call
-:func:`register_estimator` instead.
 """
 
 from __future__ import annotations
@@ -28,11 +23,6 @@ from ...errors import EstimationError
 EstimatorFactory = Callable[..., object]
 
 _REGISTRY: dict[str, EstimatorFactory] = {}
-
-#: Deprecated alias of the live registry (pre-registry code imported this
-#: frozen dict).  Reads keep working; prefer :func:`register_estimator` /
-#: :func:`available_estimators` / :func:`resolve_estimator`.
-ESTIMATOR_CLASSES = _REGISTRY
 
 
 def register_estimator(name: str, factory: EstimatorFactory) -> None:

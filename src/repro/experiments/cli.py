@@ -62,21 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "then 'vectorized')",
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count of the sharded storage engine "
-             "(requires --backend sharded)",
-    )
-    run.add_argument(
-        "--parallelism",
-        type=int,
-        default=None,
-        help="worker threads per engine round (and per-shard bulk "
-             "dispatch width on a sharded backend); default 1 = sequential."
-             "  Estimates are bit-identical at any setting.",
-    )
-    run.add_argument(
         "--profile",
         action="store_true",
         help="enable the repro.obs observability plane and print a "
@@ -122,12 +107,6 @@ def main(argv: list[str] | None = None) -> int:
             summary = (function.__doc__ or "").strip().splitlines()[0]
             print(f"{figure_id:24s} {summary}")
         return 0
-    if args.shards is not None and args.backend != "sharded":
-        parser.error("--shards requires --backend sharded")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be at least 1")
-    if args.parallelism is not None and args.parallelism < 1:
-        parser.error("--parallelism must be at least 1")
     if args.figure != "all" and args.figure not in FIGURES:
         print(f"unknown figure {args.figure!r}; try 'list'", file=sys.stderr)
         return 2
@@ -138,8 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     config = EngineConfig(
         backend=args.backend,
         data_plane=args.data_plane,
-        shards=args.shards,
-        parallelism=args.parallelism,
         observability=True if args.profile else None,
     )
     with config.apply():

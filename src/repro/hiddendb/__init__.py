@@ -6,21 +6,16 @@ top-k search interface, and budgeted query sessions.
 
 from .backends import (
     PackedArrayBackend,
-    ShardedBackend,
     StorageBackend,
     available_backends,
     get_default_backend,
-    get_default_backend_options,
     make_backend,
     mod_many,
     register_backend,
     set_default_backend,
-    set_default_backend_options,
     shift_many,
     using_backend,
-    using_backend_options,
 )
-from .backends_mapped import MappedBackend
 from .database import HiddenDatabase
 from .interface import TopKInterface
 from .query import ConjunctiveQuery
@@ -46,7 +41,6 @@ __all__ = [
     "HiddenDatabase",
     "HiddenTuple",
     "KeyCodec",
-    "MappedBackend",
     "MeasureScore",
     "PackedArrayBackend",
     "PrefixIndex",
@@ -56,7 +50,6 @@ __all__ = [
     "RandomScore",
     "RecencyScore",
     "Schema",
-    "ShardedBackend",
     "SortedKeyList",
     "StorageBackend",
     "TopKInterface",
@@ -66,7 +59,6 @@ __all__ = [
     "boolean_schema",
     "get_data_plane",
     "get_default_backend",
-    "get_default_backend_options",
     "make_backend",
     "make_tuple",
     "mod_many",
@@ -74,9 +66,7 @@ __all__ = [
     "register_backend",
     "set_data_plane",
     "set_default_backend",
-    "set_default_backend_options",
     "shift_many",
     "using_backend",
-    "using_backend_options",
     "using_data_plane",
 ]

@@ -8,7 +8,7 @@ module separates the *query interface* (:class:`StorageBackend`) from the
 globally (the ``--backend`` CLI flag and the ``REPRO_BENCH_BACKEND``
 benchmark knob).
 
-Four engines ship:
+Two engines ship:
 
 * ``"blocked"`` — :class:`~repro.hiddendb.store.SortedKeyList`, the seed's
   blocked sorted list: O(sqrt n) point updates, O(log n + #blocks) rank.
@@ -20,21 +20,6 @@ Four engines ship:
   once instead of paying per-key insertion, and repeated rank probes — the
   prefix-conjunction workload issues the same node boundaries over and over
   — hit an amortized rank cache that is invalidated on mutation.
-* ``"sharded"`` — :class:`ShardedBackend` below: hash-partitions the key
-  multiset across N inner engines (each ``packed`` by default).  Bulk
-  mutations split the batch per shard and can dispatch the per-shard work
-  to a thread pool (numpy sorts release the GIL, so shard merges genuinely
-  overlap); range reads k-way-merge the per-shard sorted slices.  Shard
-  count, the inner engine, and the worker count arrive through the
-  *backend options* channel (``make_backend(..., shards=8)``), which
-  :class:`~repro.api.EngineConfig` and the CLI (``--shards``) populate.
-* ``"mapped"`` — :class:`~repro.hiddendb.backends_mapped.MappedBackend`:
-  the packed engine's run/tail/dead scheme with the main sorted run laid
-  into memory-mapped little-endian int64 files (fixed-width 63-bit limb
-  matrices for key universes beyond int64) under a store directory — the
-  persistent tier; see :mod:`repro.hiddendb.backends_mapped` and
-  ``docs/format.md``.  Registered by its own module to keep this one
-  import-light.
 
 **Reader-concurrency contract** (all shipped engines): any number of
 threads may issue read-only calls (``rank`` / ``count_range`` /
@@ -53,14 +38,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from heapq import merge as heap_merge
 from typing import (
     Callable,
     Iterable,
     Iterator,
-    Mapping,
     Protocol,
     Sequence,
     runtime_checkable,
@@ -87,19 +70,10 @@ _PACKED_MISSES = OBS.counter(
 _PACKED_COMPACTIONS = OBS.counter(
     "repro_backend_compactions_total", {"backend": "packed"}
 )
-_SHARDED_HITS = OBS.counter(
-    "repro_rank_cache_hits_total", {"backend": "sharded"}
-)
-_SHARDED_MISSES = OBS.counter(
-    "repro_rank_cache_misses_total", {"backend": "sharded"}
-)
 _MERGE_ADD_ROWS = OBS.histogram("repro_bulk_merge_rows", {"op": "add"})
 _MERGE_REMOVE_ROWS = OBS.histogram("repro_bulk_merge_rows", {"op": "remove"})
 _PACKED_REFREEZE_REUSED = OBS.counter(
     "repro_epoch_refreeze_reused_total", {"backend": "packed"}
-)
-_SHARDED_REFREEZE_REUSED = OBS.counter(
-    "repro_epoch_refreeze_reused_total", {"backend": "sharded"}
 )
 
 #: Largest key a packed ``array('q')`` run can hold.
@@ -108,9 +82,6 @@ _INT64_MAX = 2**63 - 1
 #: Entries kept in the rank cache before it stops growing (safety valve;
 #: the cache is cleared on every mutation anyway).
 _RANK_CACHE_LIMIT = 65536
-
-#: Default shard count of the ``sharded`` storage engine.
-DEFAULT_SHARDS = 8
 
 #: One 63-bit limb of a wide (>= 2**63) key.
 _LIMB_BITS = 63
@@ -124,10 +95,6 @@ _CHUNK = 8192
 #: uint64 for; moduli in ``[2**48, 2**63)`` switch to the double-and-add
 #: multiply (:func:`_mulmod_big_vec`).
 _MOD_MANY_BOUND = 1 << 48
-
-#: Keys in range before a sharded ``range_keys`` fans the per-shard scans
-#: out to a thread pool; below this the pool start-up dominates.
-_PARALLEL_SCAN_MIN = 4096
 
 
 def _mulmod_scalar_vec(
@@ -801,388 +768,17 @@ class PackedArrayBackend:
             ], "probe array out of sync with run"
 
 
-class ShardedBackend:
-    """Hash-partitioned composite engine over N inner sorted multisets.
-
-    Every key lives in shard ``key % num_shards`` — modulo of the mixed
-    radix key is effectively a hash of the tuple id digit, so shards stay
-    balanced no matter how skewed the attribute-value distribution is.
-    Point and bulk mutations dispatch to the owning shard; ``rank`` sums
-    per-shard ranks (amortized by a sharded-level rank cache, same policy
-    as the packed engine's); ``iter_range`` / ``range_keys`` k-way-merge
-    the per-shard sorted slices (one ``np.sort`` over the concatenated
-    int64 slices when every shard hands back an array).
-
-    ``workers > 1`` dispatches per-shard *bulk* mutations — and, since
-    the HTAP epoch split, wide ``range_keys`` scans — to an ephemeral
-    thread pool.  The inner engines are fully independent — a key maps to
-    exactly one shard — and the per-shard work is dominated by numpy
-    sorts and searchsorted passes, which release the GIL, so shard merges
-    and scans genuinely overlap on multi-core hosts.  Reads follow the
-    module-level reader-concurrency contract; scan pools live only for
-    one call and never share mutable state across shards.
-    """
-
-    __slots__ = ("_shards", "num_shards", "inner_name", "_size",
-                 "_rank_cache", "_workers", "_freeze_rev", "_frozen_rev",
-                 "_frozen_view")
-
-    def __init__(
-        self,
-        num_shards: int = DEFAULT_SHARDS,
-        inner: str = "packed",
-        key_bound: int | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        workers: int = 0,
-    ):
-        if num_shards < 1:
-            raise SchemaError("sharded backend needs at least 1 shard")
-        self.num_shards = num_shards
-        self.inner_name = resolve_backend(inner)
-        self._shards: list[StorageBackend] = [
-            make_backend(inner, block_size=block_size, key_bound=key_bound)
-            for _ in range(num_shards)
-        ]
-        self._size = 0
-        self._rank_cache: dict[int, int] = {}
-        self._workers = max(int(workers or 0), 0)
-        self._freeze_rev = 0
-        self._frozen_rev = -1
-        self._frozen_view = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _shard_of(self, key: int) -> StorageBackend:
-        return self._shards[key % self.num_shards]
-
-    def _dirty(self) -> None:
-        self._freeze_rev += 1
-        if self._rank_cache:
-            self._rank_cache.clear()
-
-    # ------------------------------------------------------------------
-    # Mutations
-    # ------------------------------------------------------------------
-    def add(self, key: int) -> None:
-        """Insert ``key`` keeping order; duplicates are allowed."""
-        self._shard_of(key).add(key)
-        self._size += 1
-        self._dirty()
-
-    def remove(self, key: int) -> None:
-        """Remove one occurrence of ``key``; raise ``ValueError`` if absent."""
-        self._shard_of(key).remove(key)
-        self._size -= 1
-        self._dirty()
-
-    def _partition(self, keys) -> list:
-        """Split a batch into per-shard sub-batches (index = shard).
-
-        int64 arrays partition with one stable argsort of the shard ids
-        (contiguous zero-copy slices of the permuted batch); other
-        iterables — including wide Python-int keys — group via the chunked
-        :func:`mod_many` reduction, never a per-key ``%`` in bytecode.
-        """
-        count = self.num_shards
-        if count == 1:
-            return [keys if isinstance(keys, np.ndarray) else list(keys)]
-        array_batch = _as_int64_batch(keys)
-        if array_batch is not None:
-            shard_ids = array_batch % count
-            order = np.argsort(shard_ids, kind="stable")
-            ordered = array_batch[order]
-            bounds = np.searchsorted(shard_ids[order], np.arange(count + 1))
-            return [
-                ordered[bounds[s]:bounds[s + 1]] for s in range(count)
-            ]
-        keys = list(keys)
-        shard_ids = mod_many(keys, count)
-        parts: list[list[int]] = [[] for _ in range(count)]
-        for key, shard in zip(keys, shard_ids.tolist()):
-            parts[shard].append(key)
-        return parts
-
-    def _dispatch(self, method: str, parts: list) -> None:
-        """Run ``shard.<method>(part)`` for every non-empty sub-batch,
-        on an ephemeral worker pool when workers are configured.
-
-        The pool lives only for this dispatch: thread start-up is
-        microseconds against the per-shard sorts it overlaps, and a
-        per-backend pool would pin ``workers`` idle threads per prefix
-        index for the store's whole lifetime.  Dispatches are mutations,
-        already serialized externally, so no pool is ever shared.
-        """
-        jobs = [
-            (shard, part)
-            for shard, part in zip(self._shards, parts)
-            if len(part)
-        ]
-        if self._workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self._workers, len(jobs)),
-                thread_name_prefix="repro-shard",
-            ) as pool:
-                futures = [
-                    pool.submit(getattr(shard, method), part)
-                    for shard, part in jobs
-                ]
-                for future in futures:
-                    future.result()
-        else:
-            for shard, part in jobs:
-                getattr(shard, method)(part)
-
-    def _observe_shard_keys(self) -> None:
-        """Refresh the per-shard key-count gauges (enabled path only)."""
-        for index, shard in enumerate(self._shards):
-            OBS.gauge(
-                "repro_shard_keys", {"shard": str(index)}
-            ).set(len(shard))
-
-    def bulk_add(self, keys: Iterable[int]) -> None:
-        """Insert a batch: partition once, one inner merge per shard."""
-        parts = self._partition(keys)
-        added = sum(len(part) for part in parts)
-        if not added:
-            return
-        self._dispatch("bulk_add", parts)
-        self._size += added
-        self._dirty()
-        if OBS.enabled:
-            self._observe_shard_keys()
-
-    def _verify_removable(self, shard: StorageBackend, part) -> None:
-        """Raise ``ValueError`` unless every occurrence in ``part`` has a
-        matching occurrence in ``shard`` (two rank probes per distinct
-        key)."""
-        if isinstance(part, np.ndarray):
-            distinct, needed = np.unique(part, return_counts=True)
-            pairs = zip(distinct.tolist(), needed.tolist())
-        else:
-            counts: dict[int, int] = {}
-            for key in part:
-                counts[key] = counts.get(key, 0) + 1
-            pairs = counts.items()
-        for key, needed in pairs:
-            if shard.count_range(key, key + 1) < needed:
-                raise ValueError(f"key {key} not in {type(self).__name__}")
-
-    def bulk_remove(self, keys: Iterable[int]) -> None:
-        """Remove a batch, one inner pass per shard.
-
-        Every occurrence is verified against its shard *before* any shard
-        mutates (missing keys are the only contract failure mode), so a
-        failed bulk raises ``ValueError`` with the composite multiset
-        untouched — stronger than the shipped inner engines' own small
-        batch paths, which may partially apply before raising.
-        """
-        parts = self._partition(keys)
-        if not any(len(part) for part in parts):
-            return
-        for shard, part in zip(self._shards, parts):
-            if len(part):
-                self._verify_removable(shard, part)
-        self._dispatch("bulk_remove", parts)
-        self._size -= sum(len(part) for part in parts)
-        self._dirty()
-        if OBS.enabled:
-            self._observe_shard_keys()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def __contains__(self, key: int) -> bool:
-        return key in self._shard_of(key)
-
-    def rank(self, key: int) -> int:
-        """Number of stored keys strictly smaller than ``key``."""
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            if OBS.enabled:
-                _SHARDED_HITS.inc()
-            return cached
-        if OBS.enabled:
-            _SHARDED_MISSES.inc()
-        value = sum(shard.rank(key) for shard in self._shards)
-        if len(self._rank_cache) < _RANK_CACHE_LIMIT:
-            self._rank_cache[key] = value
-        return value
-
-    def count_range(self, lo: int, hi: int) -> int:
-        """Number of keys in the half-open interval ``[lo, hi)``."""
-        if hi <= lo:
-            return 0
-        return self.rank(hi) - self.rank(lo)
-
-    def iter_range(self, lo: int, hi: int) -> Iterator[int]:
-        """Yield keys in ``[lo, hi)`` ascending (k-way shard merge)."""
-        if hi <= lo:
-            return iter(())
-        return heap_merge(
-            *(shard.iter_range(lo, hi) for shard in self._shards)
-        )
-
-    def _scan_shards(self, lo: int, hi: int) -> list:
-        """Per-shard ``range_keys`` slices, fanned out to a pool when the
-        range is wide enough to amortize thread start-up.
-
-        Read-only: each worker touches exactly one shard, and the
-        two-rank ``count_range`` gate only feeds the add-only rank cache
-        (safe under the GIL per the module's reader-concurrency
-        contract), so concurrent readers may scan in parallel too.
-        """
-        if (
-            self._workers > 1
-            and self.num_shards > 1
-            and self.count_range(lo, hi) >= _PARALLEL_SCAN_MIN
-        ):
-            with ThreadPoolExecutor(
-                max_workers=min(self._workers, self.num_shards),
-                thread_name_prefix="repro-scan",
-            ) as pool:
-                return list(
-                    pool.map(
-                        lambda shard: shard.range_keys(lo, hi),
-                        self._shards,
-                    )
-                )
-        return [shard.range_keys(lo, hi) for shard in self._shards]
-
-    def range_keys(self, lo: int, hi: int) -> "np.ndarray | list[int]":
-        """Keys in ``[lo, hi)`` as one sorted vector.
-
-        Merges the per-shard sorted run slices: int64 slices concatenate
-        and sort in C; mixed or wide-key slices fall back to a heap merge
-        with identical contents.  With ``workers > 1`` configured and at
-        least :data:`_PARALLEL_SCAN_MIN` keys in range, the per-shard
-        slice extraction fans out to an ephemeral thread pool — slicing
-        is read-only on independent shards and dominated by searchsorted
-        and copy work that releases the GIL, so wide analytical scans
-        genuinely overlap (the merge itself stays single-threaded).
-        """
-        if hi <= lo:
-            slices = []
-        else:
-            slices = self._scan_shards(lo, hi)
-            slices = [part for part in slices if len(part)]
-        if not slices:
-            first = self._shards[0].range_keys(0, 0)
-            return (
-                np.empty(0, dtype=np.int64)
-                if isinstance(first, np.ndarray)
-                else []
-            )
-        if len(slices) == 1:
-            return slices[0]
-        if all(isinstance(part, np.ndarray) for part in slices):
-            merged = np.concatenate(slices)
-            merged.sort()
-            return merged
-        return list(heap_merge(*slices))
-
-    def __iter__(self) -> Iterator[int]:
-        return heap_merge(*(iter(shard) for shard in self._shards))
-
-    def freeze(self):
-        """An immutable snapshot view preserving the shard partition.
-
-        Each inner engine freezes independently (zero-copy for packed
-        inners), and the frozen composite keeps the shard structure so
-        epoch-pinned analytical scans can still fan out per shard.
-        """
-        from .epoch import FrozenSharded, freeze_backend
-
-        if self._frozen_view is not None and (
-            self._frozen_rev == self._freeze_rev
-        ):
-            if OBS.enabled:
-                _SHARDED_REFREEZE_REUSED.inc()
-            return self._frozen_view
-        # Unchanged shards reuse their own previous frozen view through
-        # the inner engines' freeze memoization, so a light-churn flip
-        # rebuilds only the composite shell plus the dirty shards.
-        frozen = FrozenSharded(
-            [freeze_backend(shard) for shard in self._shards],
-            num_shards=self.num_shards,
-            workers=self._workers,
-        )
-        self._frozen_view = frozen
-        self._frozen_rev = self._freeze_rev
-        return frozen
-
-    def check_invariants(self) -> None:
-        """Validate shard placement, sizes, and every inner engine."""
-        total = 0
-        for shard_index, shard in enumerate(self._shards):
-            shard.check_invariants()
-            total += len(shard)
-            for key in shard:
-                assert key % self.num_shards == shard_index, (
-                    "key in the wrong shard"
-                )
-        assert total == self._size, "size counter out of sync"
-
-
 # ----------------------------------------------------------------------
 # Registry and default-backend management
 # ----------------------------------------------------------------------
 
 #: Factory: keyword arguments ``block_size`` and ``key_bound`` (either may
-#: be ignored) plus any backend-specific options to a fresh, empty backend.
+#: be ignored) to a fresh, empty backend.
 BackendFactory = Callable[..., StorageBackend]
 
 _REGISTRY: dict[str, BackendFactory] = {}
 
 _default_backend = "blocked"
-
-#: Process-wide default backend *options*, keyed by backend name and
-#: merged under any explicit options at :func:`make_backend` time
-#: (explicit wins).  The options channel is how engine-specific knobs —
-#: ``shards`` / ``workers`` / ``inner`` for the sharded engine — travel
-#: without widening every constructor signature in between; keying by
-#: name keeps one engine's defaults from leaking into another's factory.
-_default_backend_options: dict[str, dict] = {}
-
-
-#: Relative cost signatures of the shipped storage engines, consumed by
-#: the :mod:`repro.tuning` cost model.  Unitless ratios on a common scale
-#: (``blocked`` probe = 1.0), NOT wall-clock predictions: ``probe`` is the
-#: per-rank-probe cost factor, ``bulk_per_row`` the per-row bulk
-#: add/remove maintenance factor, ``round_fixed`` a per-round fixed
-#: overhead in probe-equivalents (dispatch, fsync), ``delete_penalty``
-#: how much a pure-delete churn mix inflates maintenance (dense layouts
-#: compact on delete, sorted lists just drop), ``parallel_maintenance``
-#: whether bulk maintenance divides across workers, and ``persistent``
-#: whether runs survive the process.  Extensions register their engine's
-#: signature here (plain dict assignment) so the tuner can score it.
-BACKEND_COST_SIGNATURES: dict[str, dict] = {
-    "blocked": {
-        "probe": 1.0, "bulk_per_row": 1.0, "round_fixed": 0.0,
-        "delete_penalty": 0.3,
-        "parallel_maintenance": False, "persistent": False,
-    },
-    "packed": {
-        # Dense sorted arrays: cheapest probes and appends, but deletes
-        # force compaction of the packed runs.
-        "probe": 0.9, "bulk_per_row": 0.9, "round_fixed": 0.0,
-        "delete_penalty": 3.5,
-        "parallel_maintenance": False, "persistent": False,
-    },
-    "sharded": {
-        # Per-row work costs more (composite rank merge), but bulk
-        # maintenance splits across shard workers and each shard adds
-        # per-round dispatch overhead.
-        "probe": 1.15, "bulk_per_row": 1.4, "round_fixed": 400.0,
-        "delete_penalty": 1.0,
-        "parallel_maintenance": True, "persistent": False,
-    },
-    "mapped": {
-        "probe": 1.35, "bulk_per_row": 1.5, "round_fixed": 800.0,
-        "delete_penalty": 2.0,
-        "parallel_maintenance": False, "persistent": True,
-    },
-}
 
 
 def register_backend(name: str, factory: BackendFactory) -> None:
@@ -1238,72 +834,19 @@ def using_backend(name: str | None):
         set_default_backend(previous)
 
 
-def get_default_backend_options(name: str) -> dict:
-    """A copy of the process-wide default options for backend ``name``."""
-    return dict(_default_backend_options.get(name, {}))
-
-
-def set_default_backend_options(
-    name: str, options: Mapping | None
-) -> dict | None:
-    """Replace the default options of backend ``name``; returns the
-    previous mapping (``None`` when none was set) so the save/restore
-    idiom round-trips exactly."""
-    previous = _default_backend_options.get(name)
-    if options:
-        _default_backend_options[name] = dict(options)
-    else:
-        _default_backend_options.pop(name, None)
-    return previous
-
-
-@contextmanager
-def using_backend_options(name: str, options: Mapping | None):
-    """Scope the default options of one backend (``None`` = untouched).
-
-    The CLI's ``--shards`` flag uses this so every database a figure
-    driver builds inside the scope picks the sharded engine's shard count
-    up without each driver having to thread the knob explicitly.
-    """
-    if options is None:
-        yield get_default_backend_options(name)
-        return
-    previous = set_default_backend_options(name, options)
-    try:
-        yield dict(options)
-    finally:
-        set_default_backend_options(name, previous)
-
-
 def make_backend(
     name: str | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     key_bound: int | None = None,
-    **options,
 ) -> StorageBackend:
     """Build an empty backend by name (``None`` = process default).
 
     ``key_bound`` is the exclusive upper bound of the key universe when the
     caller knows it (prefix indexes do); packing engines use it to choose a
-    64-bit representation.  Extra keyword ``options`` are backend-specific
-    (the sharded engine takes ``shards`` / ``inner`` / ``workers``); they
-    are merged over the process-wide defaults
-    (:func:`set_default_backend_options`) and an option the factory does
-    not accept raises :class:`~repro.errors.SchemaError`.
+    64-bit representation.
     """
-    resolved = resolve_backend(name)
-    factory = _REGISTRY[resolved]
-    merged = {**_default_backend_options.get(resolved, {}), **options}
-    try:
-        return factory(block_size=block_size, key_bound=key_bound, **merged)
-    except TypeError as exc:
-        # Chained (`from exc`): the usual cause is an option the factory's
-        # signature lacks, but a TypeError from deeper inside construction
-        # must keep its traceback.
-        raise SchemaError(
-            f"backend {resolved!r} rejected options "
-            f"{sorted(merged)}: {exc}"
-        ) from exc
+    factory = _REGISTRY[resolve_backend(name)]
+    return factory(block_size=block_size, key_bound=key_bound)
 
 
 def _packed_factory(
@@ -1318,22 +861,3 @@ def _packed_factory(
 
 
 register_backend("packed", _packed_factory)
-
-
-def _sharded_factory(
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    key_bound: int | None = None,
-    shards: int = DEFAULT_SHARDS,
-    inner: str = "packed",
-    workers: int = 0,
-) -> ShardedBackend:
-    return ShardedBackend(
-        num_shards=int(shards),
-        inner=inner,
-        key_bound=key_bound,
-        block_size=block_size,
-        workers=workers,
-    )
-
-
-register_backend("sharded", _sharded_factory)

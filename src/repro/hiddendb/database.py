@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,9 +37,7 @@ from .store import TupleStore, get_data_plane
 from .tuples import HiddenTuple, TupleBatch
 
 #: Per-context (thread / task) epoch pin: ``(database, epoch)`` while inside
-#: a :func:`reading_epoch` scope, ``None`` otherwise.  Worker threads do NOT
-#: inherit context variables — executors that fan reads out must re-enter
-#: :func:`reading_epoch` inside each worker.
+#: a :func:`reading_epoch` scope, ``None`` otherwise.
 _epoch_pin: ContextVar["tuple[HiddenDatabase, StoreEpoch] | None"] = ContextVar(
     "repro_epoch_pin", default=None
 )
@@ -77,10 +75,7 @@ class HiddenDatabase:
 
     ``backend`` selects the storage engine behind every prefix index
     (``None`` = the process-wide default, see
-    :mod:`repro.hiddendb.backends`); ``backend_options`` carries
-    engine-specific factory knobs — ``HiddenDatabase(schema,
-    backend="sharded", backend_options={"shards": 8})`` partitions every
-    index across 8 inner engines.
+    :mod:`repro.hiddendb.backends`).
     """
 
     def __init__(
@@ -89,16 +84,10 @@ class HiddenDatabase:
         ranking: RankingPolicy | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         backend: str | None = None,
-        backend_options: Mapping | None = None,
     ):
         self.schema = schema
         self.ranking = ranking if ranking is not None else RandomScore()
-        self.store = TupleStore(
-            schema,
-            block_size=block_size,
-            backend=backend,
-            backend_options=backend_options,
-        )
+        self.store = TupleStore(schema, block_size=block_size, backend=backend)
         self._round = 1
         self._next_tid = 0
         self._published: StoreEpoch | None = None
@@ -149,24 +138,6 @@ class HiddenDatabase:
         if pin is not None and pin[0] is self:
             return pin[1]
         return self.store
-
-    def migrate_backend(
-        self,
-        backend: str | None,
-        backend_options: Mapping | None = None,
-    ) -> str:
-        """Rebuild the store's indexes on a new backend, atomically.
-
-        A thin forward to :meth:`TupleStore.migrate_backend` — same
-        serialization contract as :meth:`publish_epoch` (callers hold the
-        engine write lock), same guarantee: content and mutation epoch are
-        untouched, so estimates are bit-identical across the swap.
-        Readers pinned to a published epoch keep their frozen version.
-        """
-        if not OBS.enabled:
-            return self.store.migrate_backend(backend, backend_options)
-        with OBS.span("tuning.migrate_backend"):
-            return self.store.migrate_backend(backend, backend_options)
 
     def publish_epoch(self) -> StoreEpoch:
         """Freeze the live store and install it as the published epoch.

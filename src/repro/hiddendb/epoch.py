@@ -40,21 +40,17 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
-from heapq import merge as heap_merge
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ExperimentError
-from .backends import _PARALLEL_SCAN_MIN, _RANK_CACHE_LIMIT
 from .store import PrefixIndex, TupleStore
 
 __all__ = [
     "FrozenBuffered",
     "FrozenPrefixIndex",
     "FrozenRun",
-    "FrozenSharded",
     "StoreEpoch",
     "freeze_backend",
 ]
@@ -266,126 +262,6 @@ def freeze_backend(backend):
         return FrozenRun(keys)
 
 
-class FrozenSharded:
-    """An immutable composite of per-shard frozen runs.
-
-    Preserves the live :class:`~repro.hiddendb.backends.ShardedBackend`'s
-    shard partition so epoch-pinned analytical scans keep the same
-    parallel fan-out: ``range_keys`` over a wide range dispatches the
-    per-shard slice extraction to an ephemeral pool exactly like the live
-    engine does — here without even a reader-vs-writer caveat, because
-    nothing can mutate a frozen shard.
-    """
-
-    __slots__ = ("_shards", "num_shards", "_workers", "_size", "_rank_cache")
-
-    def __init__(self, shards, num_shards: int, workers: int = 0):
-        self._shards = list(shards)
-        self.num_shards = int(num_shards)
-        self._workers = max(int(workers or 0), 0)
-        self._size = sum(len(shard) for shard in self._shards)
-        self._rank_cache: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._shards[key % self.num_shards]
-
-    def rank(self, key: int) -> int:
-        """Number of stored keys strictly smaller than ``key``."""
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached
-        value = sum(shard.rank(key) for shard in self._shards)
-        if len(self._rank_cache) < _RANK_CACHE_LIMIT:
-            self._rank_cache[key] = value
-        return value
-
-    def count_range(self, lo: int, hi: int) -> int:
-        """Number of keys in the half-open interval ``[lo, hi)``."""
-        if hi <= lo:
-            return 0
-        return self.rank(hi) - self.rank(lo)
-
-    def iter_range(self, lo: int, hi: int) -> Iterator[int]:
-        """Yield keys in ``[lo, hi)`` ascending (k-way shard merge)."""
-        if hi <= lo:
-            return iter(())
-        return heap_merge(
-            *(shard.iter_range(lo, hi) for shard in self._shards)
-        )
-
-    def _scan_shards(self, lo: int, hi: int) -> list:
-        if (
-            self._workers > 1
-            and self.num_shards > 1
-            and self.count_range(lo, hi) >= _PARALLEL_SCAN_MIN
-        ):
-            with ThreadPoolExecutor(
-                max_workers=min(self._workers, self.num_shards),
-                thread_name_prefix="repro-scan",
-            ) as pool:
-                return list(
-                    pool.map(
-                        lambda shard: shard.range_keys(lo, hi),
-                        self._shards,
-                    )
-                )
-        return [shard.range_keys(lo, hi) for shard in self._shards]
-
-    def range_keys(self, lo: int, hi: int) -> "np.ndarray | list[int]":
-        """Keys in ``[lo, hi)`` as one sorted vector (parallel per-shard
-        slice extraction when workers are configured and the range is
-        wide; C-level concatenate+sort merge)."""
-        if hi <= lo:
-            slices = []
-        else:
-            slices = self._scan_shards(lo, hi)
-            slices = [part for part in slices if len(part)]
-        if not slices:
-            first = self._shards[0].range_keys(0, 0)
-            return (
-                np.empty(0, dtype=np.int64)
-                if isinstance(first, np.ndarray)
-                else []
-            )
-        if len(slices) == 1:
-            return slices[0]
-        if all(isinstance(part, np.ndarray) for part in slices):
-            merged = np.concatenate(slices)
-            merged.sort()
-            return merged
-        return list(heap_merge(*slices))
-
-    def __iter__(self) -> Iterator[int]:
-        return heap_merge(*(iter(shard) for shard in self._shards))
-
-    def add(self, key: int) -> None:
-        _frozen("add to a frozen sharded view")
-
-    def remove(self, key: int) -> None:
-        _frozen("remove from a frozen sharded view")
-
-    def bulk_add(self, keys) -> None:
-        _frozen("bulk_add to a frozen sharded view")
-
-    def bulk_remove(self, keys) -> None:
-        _frozen("bulk_remove from a frozen sharded view")
-
-    def check_invariants(self) -> None:
-        """Validate shard placement, sizes, and every frozen shard."""
-        total = 0
-        for shard_index, shard in enumerate(self._shards):
-            shard.check_invariants()
-            total += len(shard)
-            for key in shard:
-                assert key % self.num_shards == shard_index, (
-                    "key in the wrong shard"
-                )
-        assert total == self._size, "size counter out of sync"
-
-
 class FrozenPrefixIndex(PrefixIndex):
     """A live prefix index's codec over its frozen key multiset.
 
@@ -444,7 +320,6 @@ class StoreEpoch(TupleStore):
         # the live store as a snapshot, not rebuilt empty.
         self.schema = store.schema
         self.backend_name = store.backend_name
-        self.backend_options = dict(store.backend_options)
         self._block_size = store._block_size
         self._tuples = dict(store._tuples)
         self._blocks = [block.snapshot() for block in store._blocks]

@@ -75,9 +75,10 @@ _STATUS_COUNTERS = {
 class InterfaceStats:
     """Simulator-side counters (a real site would keep these server-side).
 
-    Updates run under a per-instance lock, so observers reading during a
-    ``run_round(parallel=N)`` (telemetry, ``Engine.metrics()``) always see
-    a consistent ``queries == underflow + valid + overflow`` snapshot.
+    Updates run under a per-instance lock, so observers reading from
+    another thread while a round runs (telemetry, ``Engine.metrics()``)
+    always see a consistent ``queries == underflow + valid + overflow``
+    snapshot.
     """
 
     __slots__ = ("queries", "underflow", "valid", "overflow", "_lock")
@@ -123,10 +124,6 @@ class InterfaceStats:
                 "valid": self.valid,
                 "overflow": self.overflow,
             }
-
-    def as_dict(self) -> dict[str, int]:
-        """Alias of :meth:`to_dict` (the pre-PR-9 name)."""
-        return self.to_dict()
 
 
 class TopKInterface:

@@ -71,13 +71,13 @@ class QuerySession:
         """Pin every query issued inside the scope to a published epoch.
 
         Session-level sugar over :func:`~repro.hiddendb.database.reading_epoch`
-        (which the HTAP round executor enters directly): everything inside
-        the scope resolves against one immutable
+        (which the engine's overlap-mode rounds enter directly):
+        everything inside the scope resolves against one immutable
         :class:`~repro.hiddendb.epoch.StoreEpoch` while round-boundary
         churn lands on the live store concurrently.
         ``epoch=None`` is a no-op scope (sequential mode), so call sites
-        need no branching.  Context-local: worker threads must re-enter
-        the scope themselves (context variables are not inherited).
+        need no branching.  Context-local: other threads must enter the
+        scope themselves (context variables are not inherited).
         """
         if epoch is None:
             yield self

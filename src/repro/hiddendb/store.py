@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from bisect import bisect_left, bisect_right, insort
 from contextvars import ContextVar
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +65,6 @@ _PRIVATIZED_BLOCKS = OBS.counter("repro_epoch_privatized_blocks_total")
 _BLOCKED_REFREEZE_REUSED = OBS.counter(
     "repro_epoch_refreeze_reused_total", {"backend": "blocked"}
 )
-_MIGRATION_SECONDS = OBS.histogram("repro_tuning_migration_seconds")
 
 __all__ = [
     "DATA_PLANES",
@@ -662,9 +660,7 @@ class PrefixIndex:
 
     The key multiset lives in a pluggable
     :class:`~repro.hiddendb.backends.StorageBackend` selected by name
-    (``None`` = the process-wide default); ``backend_options`` are extra
-    engine-specific factory knobs (the sharded engine's ``shards`` /
-    ``workers``).
+    (``None`` = the process-wide default).
 
     **Reader-concurrency contract:** all query methods (``count_prefix``,
     ``iter_tids``, ``range_tids``, ``prefix_range``, ``__len__``) are safe
@@ -684,7 +680,6 @@ class PrefixIndex:
         tid_span: int = 2**48,
         block_size: int = DEFAULT_BLOCK_SIZE,
         backend: str | None = None,
-        backend_options: Mapping | None = None,
     ):
         order = tuple(attr_order)
         if sorted(order) != list(range(schema.num_attributes)):
@@ -700,7 +695,6 @@ class PrefixIndex:
             self.backend_name,
             block_size=block_size,
             key_bound=self.codec.key_bound,
-            **(backend_options or {}),
         )
 
     @property
@@ -983,11 +977,9 @@ class TupleStore:
         schema: Schema,
         block_size: int = DEFAULT_BLOCK_SIZE,
         backend: str | None = None,
-        backend_options: Mapping | None = None,
     ):
         self.schema = schema
         self.backend_name = resolve_backend(backend)
-        self.backend_options = dict(backend_options) if backend_options else {}
         self._block_size = block_size
         self._tuples: dict[int, HiddenTuple] = {}
         self._blocks: list[_HeapBlock] = []
@@ -1255,67 +1247,12 @@ class TupleStore:
                 key,
                 block_size=self._block_size,
                 backend=self.backend_name,
-                backend_options=self.backend_options,
             )
             for block in self._blocks:
                 index.bulk_add_batch(block.alive_batch())
             index.bulk_add(self._tuples.values())
             self._indexes[key] = index
         return index
-
-    def migrate_backend(
-        self,
-        backend: str | None,
-        backend_options: Mapping | None = None,
-    ) -> str:
-        """Rebuild every prefix index on a new storage backend and swap it
-        in atomically.
-
-        The heap (blocks + dict remainder) is the source of truth, so the
-        rebuild is the exact :meth:`ensure_index` backfill run once per
-        registered attribute order: an O(n) ``bulk_load`` into fresh
-        backends, entirely off the read path.  The swap is a single dict
-        rebind under the index-build lock — readers either see the
-        complete old set or the complete new set, never a half-migrated
-        index, and queries in flight keep their already-resolved index.
-
-        Content is untouched, so ``mutation_epoch`` deliberately does NOT
-        advance: cached pages, published epochs, and estimator state all
-        stay valid, which is what makes estimates bit-identical across a
-        mid-run migration.  Callers must serialize against writers (the
-        engine invokes this at the epoch publish seam, under its write
-        lock).  Returns the resolved backend name.
-        """
-        name = resolve_backend(backend)
-        options = dict(backend_options) if backend_options else {}
-        started = time.perf_counter()
-        with self._index_lock:
-            # Mirror ensure_index: buffered bulk mutations must land in
-            # the old indexes (and the heap) before the heap is treated
-            # as the complete backfill source.
-            self._flush_pending()
-            rebuilt: dict[tuple[int, ...], PrefixIndex] = {}
-            for key in tuple(self._indexes):
-                index = PrefixIndex(
-                    self.schema,
-                    key,
-                    block_size=self._block_size,
-                    backend=name,
-                    backend_options=options,
-                )
-                for block in self._blocks:
-                    index.bulk_add_batch(block.alive_batch())
-                index.bulk_add(self._tuples.values())
-                rebuilt[key] = index
-            self.backend_name = name
-            self.backend_options = options
-            self._indexes = rebuilt
-        if OBS.enabled:
-            OBS.counter(
-                "repro_tuning_migrations_total", {"backend": name}
-            ).inc()
-            _MIGRATION_SECONDS.observe(time.perf_counter() - started)
-        return name
 
     def insert(self, t: HiddenTuple) -> None:
         """Insert a tuple; tids must be unique for the store's lifetime."""

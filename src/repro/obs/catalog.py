@@ -41,20 +41,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     "repro_bulk_merge_rows": (
         "histogram", "Rows per bulk index merge, by op (add/remove).",
     ),
-    "repro_shard_keys": (
-        "gauge", "Keys currently held per shard of the sharded backend.",
-    ),
-    "repro_mapped_remaps_total": (
-        "counter", "Run-file remaps (np.memmap installs) of the mapped "
-        "backend.",
-    ),
-    "repro_mapped_fsync_seconds": (
-        "histogram", "fsync latency of mapped-backend run-file installs.",
-    ),
-    "repro_mapped_compaction_seconds": (
-        "histogram", "End-to-end mapped-backend compaction latency "
-        "(merge + write + fsync + remap).",
-    ),
     # --- epoch lifecycle (HTAP overlap) ----------------------------------
     "repro_epoch_publish_seconds": (
         "histogram", "Publish-flip latency: freezing the live store into "
@@ -71,19 +57,6 @@ CATALOG: dict[str, tuple[str, str]] = {
         "counter", "Backend freeze() calls satisfied by reusing the "
         "previous frozen view unchanged (no buffer re-clone), by backend.",
     ),
-    # --- self-tuning (repro.tuning) --------------------------------------
-    "repro_tuning_decisions_total": (
-        "counter", "Tuning controller decisions, by action "
-        "(initial/keep/migrate).",
-    ),
-    "repro_tuning_migrations_total": (
-        "counter", "Online backend/shard migrations applied at an epoch "
-        "flip, by target backend.",
-    ),
-    "repro_tuning_migration_seconds": (
-        "histogram", "Wall time of one online index rebuild + atomic "
-        "swap (the migration itself, not the decision).",
-    ),
     # --- engine ----------------------------------------------------------
     "repro_rounds_total": (
         "counter", "Engine rounds executed (run_round calls).",
@@ -96,10 +69,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_budget_spent_total": (
         "counter", "Queries charged against the round budget, by task.",
-    ),
-    "repro_worker_utilization": (
-        "gauge", "Busy fraction of the last parallel round's workers "
-        "(sum of task seconds / workers x round wall).",
     ),
     # --- service plane ---------------------------------------------------
     "repro_http_request_seconds": (

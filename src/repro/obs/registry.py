@@ -277,14 +277,14 @@ class MetricsRegistry:
     def delta(self, since: Mapping | None) -> dict:
         """Per-window metric deltas against a prior :meth:`snapshot`.
 
-        The tuner (and any rate-based consumer) needs *windowed* activity
-        — queries per round, churn per flip — not lifetime totals.  Pass
-        the snapshot taken at the start of the window; the result has the
-        same shape as :meth:`snapshot` with every counter value, histogram
-        count/sum and cumulative bucket replaced by its increase over the
-        window.  Gauges are levels, not totals, so they carry their
-        current value unchanged.  Metrics that did not exist at window
-        start delta against zero; ``since=None`` is an empty baseline
+        Rate-based consumers need *windowed* activity — queries per
+        round, churn per flip — not lifetime totals.  Pass the snapshot
+        taken at the start of the window; the result has the same shape
+        as :meth:`snapshot` with every counter value, histogram count/sum
+        and cumulative bucket replaced by its increase over the window.
+        Gauges are levels, not totals, so they carry their current value
+        unchanged.  Metrics that did not exist at window start delta
+        against zero; ``since=None`` is an empty baseline
         (delta == snapshot).
 
         Concurrency: both endpoints are assembled under the registry

@@ -6,8 +6,8 @@ A span is a timed scope::
         ...
 
 Nesting is tracked per *context* (thread / asyncio task) through a
-:class:`~contextvars.ContextVar`, so concurrent round workers each build
-their own parent chain without locking on the hot path.  Records land in a
+:class:`~contextvars.ContextVar`, so concurrent threads each build their
+own parent chain without locking on the hot path.  Records land in a
 bounded :class:`SpanLog` at scope exit (one dict per span — JSONL-ready),
 and :func:`format_span_tree` aggregates them into the per-phase profile
 tree ``repro-experiments run --profile`` prints.

@@ -237,9 +237,7 @@ class ServiceApp:
                         stack.enter_context(
                             self.engine[name].throttled(admission.granted)
                         )
-                reports = self.engine.run_round(
-                    run_names, parallel=request.parallel
-                )
+                reports = self.engine.run_round(run_names)
         for name in run_names:
             report = reports[name]
             self.governor.commit(name, report.queries_used, round_index)
@@ -280,7 +278,6 @@ class ServiceApp:
             round_index=self.engine.current_round,
             governor=self.governor.snapshot(),
             metrics=self.engine.metrics(),
-            tuning=self.engine.tuning_report(),
         )
 
     def health(self) -> HealthResponse:

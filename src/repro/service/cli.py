@@ -9,7 +9,7 @@ of :mod:`repro.service.http` until SIGINT/SIGTERM or ``POST
 
 Example::
 
-    repro-serve --port 8080 --rows 50000 --backend sharded --shards 4 \\
+    repro-serve --port 8080 --rows 50000 --backend packed \\
         --budget-per-round 200 --queries-per-window 2000 --window-rounds 8
 """
 
@@ -23,7 +23,6 @@ import sys
 
 from ..api import Engine, EngineConfig, has_snapshot
 from ..data.synthetic import skewed_source
-from ..hiddendb.database import HiddenDatabase
 from ..obs import OBS
 from .app import ServiceApp
 from .governor import BudgetGovernor, GovernorConfig
@@ -57,24 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine = parser.add_argument_group("engine")
     engine.add_argument("--backend", default=None,
-                        help="storage backend (blocked/packed/sharded/mapped)")
-    engine.add_argument("--shards", type=int, default=None,
-                        help="shard count (sharded backend only)")
-    engine.add_argument("--parallelism", type=int, default=None,
-                        help="round worker threads")
+                        help="storage backend (blocked/packed)")
     engine.add_argument(
         "--overlap", action="store_true",
         help="HTAP epoch split: estimators read the published immutable "
              "epoch while round-boundary churn lands concurrently "
              "(bit-identical estimates; mutations become visible at the "
              "next round flip)",
-    )
-    engine.add_argument(
-        "--auto", action="store_true",
-        help="cost-based self-tuning (repro.tuning): pick backend/shards/"
-             "parallelism from the observed workload and re-shard online "
-             "at round flips; explicit --backend/--shards/--parallelism "
-             "act as pins the tuner never overrides (see docs/tuning.md)",
     )
     engine.add_argument("--k", type=int, default=100,
                         help="top-k interface page size")
@@ -93,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     durability.add_argument(
         "--store-dir", default=None,
         help="durable store directory: restore the committed snapshot on "
-             "start when one exists, write snapshots there (and home the "
-             "mapped backend's run files under it)",
+             "start when one exists, and write snapshots there",
     )
     durability.add_argument(
         "--snapshot-every", type=int, default=None,
@@ -181,28 +168,13 @@ def build_app(args: argparse.Namespace) -> ServiceApp:
         k=args.k,
         budget_per_round=args.budget_per_round,
         seed=args.seed,
-        shards=args.shards,
-        parallelism=args.parallelism,
         overlap=args.overlap,
         report_log_limit=args.report_log_limit,
         store_dir=args.store_dir,
         observability=observability,
-        auto=args.auto,
     )
-    if config.auto:
-        # Let the engine build its own database so the tuner's initial
-        # (priors-only) decision picks the construction-time backend.
-        engine = Engine(config, schema=source.schema)
-        engine.load(source.batch_columns(args.rows))
-    else:
-        db = HiddenDatabase(
-            source.schema,
-            backend=config.backend,
-            block_size=config.block_size,
-            backend_options=config.backend_factory_options(),
-        )
-        db.insert_many(source.batch_columns(args.rows))
-        engine = Engine(config, db=db)
+    engine = Engine(config, schema=source.schema)
+    engine.load(source.batch_columns(args.rows))
     return ServiceApp(engine, governor, snapshot_every=args.snapshot_every)
 
 

@@ -232,9 +232,6 @@ class RoundRequest(WireForm):
     ----------
     rounds:
         Number of consecutive rounds to run (default 1).
-    parallel:
-        Worker threads per round (``None`` = the engine config's
-        ``parallelism``); results are bit-identical either way.
     tasks:
         Restrict the round to these task names (``None`` = all active).
     advance:
@@ -244,7 +241,6 @@ class RoundRequest(WireForm):
     """
 
     rounds: int = 1
-    parallel: int | None = None
     tasks: list | None = None
     advance: bool = False
 
@@ -339,14 +335,12 @@ class TelemetryResponse(WireForm):
     the engine's observability snapshot.
 
     ``governor`` keeps its pre-PR-9 shape for one release; ``metrics`` is
-    the stamped :meth:`repro.api.Engine.metrics` payload; ``tuning`` the
-    stamped :meth:`repro.api.Engine.tuning_report` audit (old clients
-    ignore both — ``WireForm.from_wire`` is forward-tolerant)."""
+    the stamped :meth:`repro.api.Engine.metrics` payload (old clients
+    ignore it — ``WireForm.from_wire`` is forward-tolerant)."""
 
     round_index: int
     governor: dict = dataclasses.field(default_factory=dict)
     metrics: dict = dataclasses.field(default_factory=dict)
-    tuning: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass

@@ -24,7 +24,8 @@ from repro.api import (
     register_estimator,
     resolve_estimator,
 )
-from repro.core.estimators import ESTIMATOR_CLASSES, RsEstimator
+from repro.core.estimators import RsEstimator
+from repro.core.estimators.registry import _REGISTRY
 from repro.core.estimators.base import RoundReport
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
@@ -204,6 +205,24 @@ class TestLifecycle:
         reports = engine.run_round(tasks=["b"])
         assert list(reports) == ["b"]
         assert engine["a"].latest is None
+
+    def test_run_round_runs_a_repeated_name_once(self):
+        db, _ = _build_env()
+        engine = Engine(CONFIG, db=db)
+        engine.submit(EstimationTask("a", [count_all()], "RS", budget=20))
+        engine.submit(EstimationTask("b", [count_all()], "RS", budget=20))
+        reports = engine.run_round(tasks=["b", "a", "b", "a"])
+        # First occurrence wins the position; each task runs once.
+        assert list(reports) == ["b", "a"]
+        assert [name for name, _ in engine.stream_reports()] == ["b", "a"]
+        ledger = engine.budget_ledger()
+        for name in ("a", "b"):
+            assert ledger[name]["rounds"] == 1
+            assert ledger[name]["queries_total"] <= 20
+            assert (
+                ledger[name]["queries_total"]
+                == reports[name].queries_used
+            )
 
     def test_stream_reports_in_execution_order(self):
         db, schedule = _build_env()
@@ -458,15 +477,15 @@ class TestRegistry:
     def test_builtins_registered(self):
         assert {"RESTART", "REISSUE", "RS"} <= set(available_estimators())
 
-    def test_estimator_classes_alias_sees_registrations(self):
-        token = "X-TEST-ALIAS"
-        assert token not in ESTIMATOR_CLASSES
+    def test_registered_factory_resolves_by_name(self):
+        token = "X-TEST-REGISTERED"
+        assert token not in available_estimators()
         register_estimator(token, RsEstimator)
         try:
-            assert ESTIMATOR_CLASSES[token] is RsEstimator
+            assert token in available_estimators()
             assert resolve_estimator(token) is RsEstimator
         finally:
-            del ESTIMATOR_CLASSES[token]
+            _REGISTRY.pop(token)
 
     def test_resolve_unknown_name_raises(self):
         with pytest.raises(EstimationError):

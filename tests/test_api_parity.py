@@ -19,8 +19,7 @@ import random
 import pytest
 
 from repro import HiddenDatabase, TopKInterface, count_all, sum_measure
-from repro.api import Engine, EngineConfig, EstimationTask
-from repro.core.estimators import ESTIMATOR_CLASSES
+from repro.api import Engine, EngineConfig, EstimationTask, resolve_estimator
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.experiments import EstimatorFactory, Experiment
@@ -84,7 +83,7 @@ def test_manual_legacy_path_matches_engine(backend, plane, estimator):
     with using_data_plane(plane):
         db, schedule = _build_env(backend)
         interface = TopKInterface(db, K)
-        legacy = ESTIMATOR_CLASSES[estimator](
+        legacy = resolve_estimator(estimator)(
             interface, _specs(db.schema), budget_per_round=BUDGET, seed=SEED
         )
         rng = random.Random(5)
@@ -126,7 +125,7 @@ def _legacy_runner_estimates(backend, trials=2):
         specs = _specs(db.schema)
         interface = TopKInterface(db, K)
         estimators = {
-            name: ESTIMATOR_CLASSES[name](
+            name: resolve_estimator(name)(
                 interface, specs, budget_per_round=BUDGET,
                 seed=seed + 17 + index,
             )

@@ -16,21 +16,18 @@ from hypothesis import strategies as st
 
 from repro import Attribute, HiddenDatabase, Schema, SchemaError, TopKInterface
 from repro.hiddendb import (
-    MappedBackend,
     PackedArrayBackend,
-    ShardedBackend,
     available_backends,
     get_default_backend,
     make_backend,
     set_default_backend,
     using_backend,
-    using_backend_options,
 )
 from repro.hiddendb.query import ConjunctiveQuery
 from repro.hiddendb.store import SortedKeyList
 
 
-BACKENDS = ("blocked", "packed", "sharded", "mapped")
+BACKENDS = ("blocked", "packed")
 
 
 # ----------------------------------------------------------------------
@@ -38,32 +35,11 @@ BACKENDS = ("blocked", "packed", "sharded", "mapped")
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_both_engines_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert available_backends() == BACKENDS
 
     def test_make_backend_types(self):
         assert isinstance(make_backend("blocked"), SortedKeyList)
         assert isinstance(make_backend("packed"), PackedArrayBackend)
-        assert isinstance(make_backend("sharded"), ShardedBackend)
-        assert isinstance(make_backend("mapped"), MappedBackend)
-
-    def test_make_backend_options(self):
-        sharded = make_backend("sharded", shards=3, inner="blocked")
-        assert sharded.num_shards == 3
-        assert sharded.inner_name == "blocked"
-        with pytest.raises(SchemaError):
-            make_backend("packed", shards=3)  # option the engine lacks
-
-    def test_default_backend_options_scope(self):
-        with using_backend_options("sharded", {"shards": 5}):
-            assert make_backend("sharded").num_shards == 5
-            # Explicit options beat the scoped default.
-            assert make_backend("sharded", shards=2).num_shards == 2
-            # Defaults are keyed per engine: other backends are untouched
-            # (this would raise if the sharded options leaked).
-            assert isinstance(make_backend("packed"), PackedArrayBackend)
-        from repro.hiddendb.backends import DEFAULT_SHARDS
-
-        assert make_backend("sharded").num_shards == DEFAULT_SHARDS
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SchemaError):
@@ -219,8 +195,6 @@ def test_backends_agree_on_random_op_streams(operations):
     engines = {
         "blocked": make_backend("blocked", block_size=4),
         "packed": PackedArrayBackend(key_bound=64, min_buffer=8),
-        "sharded": ShardedBackend(num_shards=3, key_bound=64, block_size=16),
-        "mapped": MappedBackend(key_bound=64, min_buffer=8),
     }
     reference: list[int] = []
     for is_remove, value in operations:
@@ -299,13 +273,12 @@ def test_backend_parity_on_seeded_churn_workload():
     by score) must match tuple for tuple — any divergence is a backend bug.
     """
     blocked = _seeded_churn("blocked")
-    for name in ("packed", "sharded", "mapped"):
-        other = _seeded_churn(name)
-        assert blocked[2] == other[2], name  # database size
-        assert blocked[1] == other[1], name  # prefix counts
-        for left, right in zip(blocked[0], other[0]):
-            # predicates, status (overflow flag), page tids
-            assert left == right, name
+    packed = _seeded_churn("packed")
+    assert blocked[2] == packed[2]  # database size
+    assert blocked[1] == packed[1]  # prefix counts
+    for left, right in zip(blocked[0], packed[0]):
+        # predicates, status (overflow flag), page tids
+        assert left == right
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +290,6 @@ class TestArrayBulkPaths:
     def _fresh(self, name):
         if name == "blocked":
             return SortedKeyList()
-        if name == "sharded":
-            return ShardedBackend(num_shards=4, key_bound=2**40)
-        if name == "mapped":
-            return MappedBackend(key_bound=2**40)
         return PackedArrayBackend(key_bound=2**40)
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -378,21 +347,6 @@ class TestArrayBulkPaths:
         backend.bulk_remove(np.empty(0, dtype=np.int64))
         assert len(backend) == 0
 
-    def test_sharded_parallel_workers_match_sequential(self):
-        rng = random.Random(41)
-        keys = np.array(
-            [rng.randrange(2**40) for _ in range(5000)], dtype=np.int64
-        )
-        parallel = ShardedBackend(num_shards=8, key_bound=2**40, workers=4)
-        sequential = ShardedBackend(num_shards=8, key_bound=2**40, workers=0)
-        for engine in (parallel, sequential):
-            engine.bulk_add(keys)
-        victims = np.sort(keys[:: 3])
-        for engine in (parallel, sequential):
-            engine.bulk_remove(victims)
-            engine.check_invariants()
-        assert list(parallel) == list(sequential)
-
     def test_unpacked_engine_routes_array_to_generic_path(self):
         backend = PackedArrayBackend(key_bound=2**300)
         assert not backend.is_packed
@@ -429,101 +383,3 @@ class TestArrayBulkPaths:
                 backend.bulk_remove(np.array(removable, dtype=np.int64))
                 backend.check_invariants()
                 assert list(backend) == sorted(budget.elements())
-
-
-# ----------------------------------------------------------------------
-# Sharded engine internals
-# ----------------------------------------------------------------------
-class TestShardedBackend:
-    def test_keys_land_in_their_hash_shard(self):
-        engine = ShardedBackend(num_shards=4, key_bound=10**6)
-        engine.bulk_add(np.arange(100, dtype=np.int64))
-        for shard_index, shard in enumerate(engine._shards):
-            assert all(key % 4 == shard_index for key in shard)
-        engine.check_invariants()
-
-    def test_range_keys_merges_shard_slices_sorted(self):
-        rng = random.Random(17)
-        keys = [rng.randrange(10**6) for _ in range(2000)]
-        engine = ShardedBackend(num_shards=5, key_bound=10**6)
-        engine.bulk_add(np.array(keys, dtype=np.int64))
-        merged = engine.range_keys(100, 900_000)
-        expected = sorted(k for k in keys if 100 <= k < 900_000)
-        assert list(merged) == expected
-        assert list(engine.iter_range(100, 900_000)) == expected
-
-    def test_failed_bulk_remove_leaves_composite_untouched(self):
-        engine = ShardedBackend(num_shards=4, key_bound=10**6)
-        engine.bulk_add(np.arange(0, 64, dtype=np.int64))
-        before = list(engine)
-        with pytest.raises(ValueError):
-            # Victims cover several shards; 999_983 is missing — the
-            # pre-mutation verification must reject the whole batch.
-            engine.bulk_remove(
-                np.array([0, 1, 2, 3, 999_983], dtype=np.int64)
-            )
-        assert list(engine) == before
-        assert len(engine) == 64
-        engine.check_invariants()
-
-    def test_failed_small_bulk_remove_is_atomic_despite_inner_paths(self):
-        # Small batches hit the packed inner's per-key removal loop, which
-        # partially applies before raising; the sharded pre-check must
-        # keep the composite fully intact anyway (regression: the old
-        # rollback desynced size vs content here).
-        engine = ShardedBackend(num_shards=2, key_bound=10**6)
-        engine.bulk_add(np.arange(100, dtype=np.int64))
-        with pytest.raises(ValueError):
-            engine.bulk_remove([0, 2, 4, 999_998, 1, 3])
-        assert len(engine) == 100
-        assert list(engine) == list(range(100))
-        engine.check_invariants()
-
-    def test_failed_bulk_remove_duplicate_occurrences(self):
-        engine = ShardedBackend(num_shards=2, key_bound=100)
-        engine.bulk_add([7, 7, 8])
-        with pytest.raises(ValueError):
-            engine.bulk_remove([7, 7, 7])  # one occurrence too many
-        assert list(engine) == [7, 7, 8]
-        engine.check_invariants()
-
-    def test_wide_keys_shard_via_chunked_modulo(self):
-        rng = random.Random(23)
-        keys = [rng.randrange(2**180) for _ in range(300)]
-        engine = ShardedBackend(num_shards=3, key_bound=2**180)
-        engine.bulk_add(keys)
-        engine.check_invariants()
-        assert list(engine) == sorted(keys)
-        lo, hi = sorted(rng.sample(keys, 2))
-        assert list(engine.range_keys(lo, hi)) == [
-            k for k in sorted(keys) if lo <= k < hi
-        ]
-
-    def test_rank_cache_invalidated_on_mutation(self):
-        engine = ShardedBackend(num_shards=2, key_bound=100)
-        engine.bulk_add(np.arange(10, dtype=np.int64))
-        assert engine.rank(5) == 5
-        engine.add(2)
-        assert engine.rank(5) == 6
-        engine.remove(2)
-        engine.remove(2)
-        assert engine.rank(5) == 4
-
-    def test_single_shard_degenerates_cleanly(self):
-        engine = ShardedBackend(num_shards=1, key_bound=1000)
-        engine.bulk_add([5, 1, 5])
-        assert list(engine) == [1, 5, 5]
-        assert engine.count_range(0, 6) == 3
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(SchemaError):
-            ShardedBackend(num_shards=0)
-
-    def test_database_backend_options_reach_the_indexes(self):
-        schema = Schema([Attribute("a", 3), Attribute("b", 4)])
-        db = HiddenDatabase(
-            schema, backend="sharded", backend_options={"shards": 3}
-        )
-        index = db.store.ensure_index((0, 1))
-        assert isinstance(index._keys, ShardedBackend)
-        assert index._keys.num_shards == 3

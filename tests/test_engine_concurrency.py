@@ -1,11 +1,10 @@
 """Concurrency tests for the engine facade and the read-concurrent store.
 
-The contracts under test (PR 5):
+The contracts under test:
 
-* ``Engine.run_round(parallel=N)`` is **bit-identical** to the sequential
-  schedule on every backend × data plane — each task owns its RNG,
-  interface counters, and session, and the store honors the
-  reader-concurrency contract, so interleaving cannot leak between tasks.
+* Observers on other threads never disturb a round: estimates under
+  concurrent ``stream_reports()`` / ``budget_ledger()`` polling are
+  bit-identical to an unobserved run.
 * The session boundary stays responsive during a long round: the round
   barrier and the session lock are separate, so ``stream_reports()`` /
   ``budget_ledger()`` from other threads never wait for estimators.
@@ -21,12 +20,12 @@ import time
 
 import pytest
 
-from repro.api import Engine, EngineConfig, EstimationTask, using_parallelism
+from repro.api import Engine, EngineConfig, EstimationTask
 from repro.core.aggregates import count_all
 from repro.core.estimators.base import RoundReport
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
-from repro.errors import ExperimentError, StaleResultError
+from repro.errors import StaleResultError
 from repro.hiddendb import ConjunctiveQuery, TopKInterface
 
 
@@ -39,26 +38,14 @@ def _fig_source(seed: int = 7):
     )
 
 
-def _run_engine(
-    backend: str,
-    parallel: int,
-    plane: str | None = None,
-    shards: int | None = None,
-    rounds: int = 3,
-    n: int = 2500,
-):
+#: The seeded multi-tenant churn scenario the stress test replays.
+CONFIG = EngineConfig(k=10, budget_per_round=60, seed=3)
+
+
+def _run_engine(rounds: int = 3, n: int = 2500):
     """One seeded multi-tenant churn run; returns every observable output."""
     source = _fig_source()
-    config = EngineConfig(
-        backend=backend,
-        data_plane=plane,
-        shards=shards,
-        parallelism=parallel,
-        k=10,
-        budget_per_round=60,
-        seed=3,
-    )
-    engine = Engine(config, schema=source.schema)
+    engine = Engine(CONFIG, schema=source.schema)
     engine.load(source.batch_columns(n))
     schedule = FreshTupleSchedule(
         source, inserts_per_round=40, delete_fraction=0.01
@@ -84,78 +71,6 @@ def _run_engine(
     return outputs
 
 
-@pytest.mark.parametrize("plane", ["vectorized", "scalar"])
-@pytest.mark.parametrize(
-    "backend,shards",
-    [("blocked", None), ("packed", None), ("sharded", 4)],
-)
-def test_parallel_round_bit_identical_to_sequential(backend, shards, plane):
-    sequential = _run_engine(backend, 1, plane, shards)
-    parallel = _run_engine(backend, 4, plane, shards)
-    assert sequential == parallel
-
-
-def test_parallel_explicit_argument_overrides_config():
-    source = _fig_source()
-    engine = Engine(
-        EngineConfig(k=10, budget_per_round=40, seed=1),
-        schema=source.schema,
-    )
-    engine.load(source.batch_columns(800))
-    for index, algorithm in enumerate(ALGORITHMS):
-        engine.submit(
-            EstimationTask(algorithm, [count_all()], algorithm, seed=index)
-        )
-    first = engine.run_round(parallel=4)
-    engine.advance_round()
-    second = engine.run_round(parallel=1)
-    assert set(first) == set(second) == set(ALGORITHMS)
-    with pytest.raises(ExperimentError):
-        engine.run_round(parallel=0)
-
-
-def test_parallelism_process_default_scopes():
-    with using_parallelism(6):
-        assert EngineConfig().resolved_parallelism() == 6
-        assert EngineConfig(parallelism=2).resolved_parallelism() == 2
-    assert EngineConfig().resolved_parallelism() == 1
-
-
-def test_config_validation():
-    with pytest.raises(ExperimentError):
-        EngineConfig(parallelism=0)
-    with pytest.raises(ExperimentError):
-        EngineConfig(shards=0)
-    with pytest.raises(ExperimentError):
-        EngineConfig(backend="packed", shards=4)
-    # shards + sharded backend is the supported combination.
-    config = EngineConfig(backend="sharded", shards=4, parallelism=2)
-    assert config.backend_factory_options() == {"shards": 4, "workers": 2}
-    assert EngineConfig().backend_factory_options() == {}
-    payload = config.to_dict()
-    assert EngineConfig.from_dict(payload) == config
-    # shards with backend=None is only valid when the *resolved* backend
-    # is sharded — never silently dropped.
-    dangling = EngineConfig(shards=4)
-    with pytest.raises(ExperimentError):
-        dangling.backend_factory_options()
-    with pytest.raises(ExperimentError):
-        Engine(dangling, schema=_fig_source().schema)
-    # Same guarantee around an existing database: shards cannot apply to
-    # a non-sharded store and must not vanish silently.
-    from repro.hiddendb import HiddenDatabase
-
-    packed_db = HiddenDatabase(_fig_source().schema, backend="packed")
-    with pytest.raises(ExperimentError):
-        Engine(EngineConfig(backend="sharded", shards=4), db=packed_db)
-    sharded_db = HiddenDatabase(
-        _fig_source().schema, backend="sharded",
-        backend_options={"shards": 4},
-    )
-    engine = Engine(EngineConfig(backend="sharded", shards=4), db=sharded_db)
-    assert engine.backend == "sharded"
-
-
 class _ExplodingEstimator:
     def __init__(self, interface):
         self.interface = interface
@@ -169,65 +84,40 @@ def test_failed_task_keeps_completed_reports():
     """A task raising mid-round must not drop the reports of tasks that
     already ran (their budget was spent, their RNG advanced)."""
     source = _fig_source()
-    for parallel in (1, 4):
-        engine = Engine(
-            EngineConfig(k=10, budget_per_round=40, seed=1),
-            schema=source.schema,
-        )
-        engine.load(source.batch_columns(800))
-        engine.submit(EstimationTask("ok", [count_all()], "RS", seed=0))
-        engine.submit(EstimationTask(
-            "boom",
-            [count_all()],
-            lambda interface, specs, **options: _ExplodingEstimator(
-                interface
-            ),
-        ))
-        with pytest.raises(RuntimeError):
-            engine.run_round(parallel=parallel)
-        ledger = engine.budget_ledger()
-        assert ledger["ok"]["rounds"] == 1, parallel
-        assert ledger["ok"]["queries_total"] > 0
-        assert ledger["boom"]["rounds"] == 0
-        assert [name for name, _ in engine.stream_reports()] == ["ok"]
-
-
-def test_parallel_rejects_intra_round_mutation_hooks():
-    source = _fig_source()
     engine = Engine(
         EngineConfig(k=10, budget_per_round=40, seed=1),
         schema=source.schema,
     )
-    engine.load(source.batch_columns(500))
-    handle = engine.submit(
-        EstimationTask("rs", [count_all()], "RS", seed=0)
-    )
-    handle.estimator.on_query = lambda: None
-    # A single hooked task runs sequentially whatever the worker count.
-    assert "rs" in engine.run_round(parallel=2)
-    engine.submit(EstimationTask("restart", [count_all()], "RESTART", seed=1))
-    engine.advance_round()
-    with pytest.raises(ExperimentError):
-        engine.run_round(parallel=2)
-    # Sequential execution still serves hooked estimators.
-    assert set(engine.run_round(parallel=1)) == {"rs", "restart"}
+    engine.load(source.batch_columns(800))
+    engine.submit(EstimationTask("ok", [count_all()], "RS", seed=0))
+    engine.submit(EstimationTask(
+        "boom",
+        [count_all()],
+        lambda interface, specs, **options: _ExplodingEstimator(interface),
+    ))
+    engine.submit(EstimationTask("later", [count_all()], "RS", seed=1))
+    with pytest.raises(RuntimeError):
+        engine.run_round()
+    ledger = engine.budget_ledger()
+    assert ledger["ok"]["rounds"] == 1
+    assert ledger["ok"]["queries_total"] > 0
+    assert ledger["boom"]["rounds"] == 0
+    # Tasks after the failing one do not run this round.
+    assert ledger["later"]["rounds"] == 0
+    assert [name for name, _ in engine.stream_reports()] == ["ok"]
 
 
 # ----------------------------------------------------------------------
-# Stress: parallel rounds under churn with concurrent observers
+# Stress: rounds under churn with concurrent observers
 # ----------------------------------------------------------------------
 def test_stress_concurrent_observers_under_churn():
-    """Readers drain reports/ledgers from other threads while parallel
-    rounds and churn alternate; the estimates still match the sequential
-    twin bit for bit."""
-    sequential = _run_engine("sharded", 1, "vectorized", 4, rounds=4)
+    """Readers drain reports/ledgers from other threads while rounds and
+    churn alternate; the estimates still match the unobserved twin bit
+    for bit."""
+    unobserved = _run_engine(rounds=4)
 
     source = _fig_source()
-    config = EngineConfig(
-        backend="sharded", data_plane="vectorized", shards=4, parallelism=4,
-        k=10, budget_per_round=60, seed=3,
-    )
-    engine = Engine(config, schema=source.schema)
+    engine = Engine(CONFIG, schema=source.schema)
     engine.load(source.batch_columns(2500))
     schedule = FreshTupleSchedule(
         source, inserts_per_round=40, delete_fraction=0.01
@@ -278,8 +168,8 @@ def test_stress_concurrent_observers_under_churn():
         for thread in observers:
             thread.join(timeout=10)
     assert not observer_errors
-    assert outputs == sequential[:4]
-    assert engine.budget_ledger() == sequential[4]
+    assert outputs == unobserved[:4]
+    assert engine.budget_ledger() == unobserved[4]
 
 
 class _PlaneProbe:
@@ -302,9 +192,9 @@ class _PlaneProbe:
         )
 
 
-def test_parallel_workers_inherit_callers_plane_override():
-    """A caller-scoped context-local plane override must reach parallel
-    workers (ContextVars do not cross thread boundaries by themselves)."""
+def test_round_inherits_callers_plane_override():
+    """A caller-scoped context-local plane override reaches every task of
+    a round run by an engine that pins no plane of its own."""
     from repro.hiddendb.store import overriding_data_plane
 
     source = _fig_source()
@@ -321,7 +211,7 @@ def test_parallel_workers_inherit_callers_plane_override():
             lambda interface, specs, **options: _PlaneProbe(interface, seen),
         ))
     with overriding_data_plane("scalar"):
-        engine.run_round(parallel=2)
+        engine.run_round()
     assert seen == ["scalar", "scalar"]
 
 

@@ -74,7 +74,7 @@ class TestStats:
         from repro.hiddendb.interface import InterfaceStats
 
         stats = InterfaceStats()
-        assert stats.as_dict() == {
+        assert stats.to_dict() == {
             "queries": 0, "underflow": 0, "valid": 0, "overflow": 0,
         }
         for status, repeats in (
@@ -84,7 +84,7 @@ class TestStats:
         ):
             for _ in range(repeats):
                 stats.record(status)
-        assert stats.as_dict() == {
+        assert stats.to_dict() == {
             "queries": 9, "underflow": 2, "valid": 3, "overflow": 4,
         }
         assert stats.queries == (
@@ -112,7 +112,7 @@ class TestStats:
                 interface.register_attr_order((0, 1, 2))
                 for query in queries:
                     interface.search(query)
-                return interface.stats.as_dict()
+                return interface.stats.to_dict()
 
         columnar = tallies("vectorized")
         assert columnar == tallies("scalar")

@@ -50,7 +50,7 @@ def _pristine_obs():
 def test_kind_of_known_and_unknown():
     assert kind_of("repro_queries_total") == "counter"
     assert kind_of("repro_round_seconds") == "histogram"
-    assert kind_of("repro_shard_keys") == "gauge"
+    assert kind_of("repro_epoch_pinned_readers") == "gauge"
     with pytest.raises(ExperimentError):
         kind_of("repro_nonexistent_total")
 
@@ -184,7 +184,7 @@ def test_format_span_tree_empty():
 def test_snapshot_is_strict_json_and_sorted():
     registry = MetricsRegistry()
     registry.counter("repro_queries_total", {"status": "valid"}).inc(3)
-    registry.gauge("repro_worker_utilization").set(0.5)
+    registry.gauge("repro_epoch_pinned_readers").set(2)
     registry.histogram("repro_round_seconds").observe(0.02)
     snap = registry.snapshot()
     json.dumps(snap, allow_nan=False)  # must not raise
@@ -302,7 +302,6 @@ def test_interface_stats_record_and_to_dict():
     assert stats.to_dict() == {
         "queries": 3, "underflow": 1, "valid": 1, "overflow": 1,
     }
-    assert stats.as_dict() == stats.to_dict()
 
 
 def test_interface_stats_merge():
@@ -354,15 +353,15 @@ def test_delta_windows_counters_histograms_not_gauges():
     registry = MetricsRegistry()
     queries = registry.counter("repro_queries_total", {"status": "valid"})
     wall = registry.histogram("repro_round_seconds")
-    level = registry.gauge("repro_worker_utilization")
+    level = registry.gauge("repro_epoch_pinned_readers")
     queries.inc(5)
     wall.observe(0.02)
-    level.set(0.25)
+    level.set(2)
     window_start = registry.snapshot()
     queries.inc(3)
     wall.observe(0.04)
     wall.observe(10.0)
-    level.set(0.75)
+    level.set(3)
     # A metric born *inside* the window deltas against zero.
     registry.counter("repro_queries_total", {"status": "overflow"}).inc(2)
 
@@ -388,9 +387,9 @@ def test_delta_windows_counters_histograms_not_gauges():
     # Gauges are levels, not totals: current value, not a difference.
     [gauge] = [
         entry for entry in delta["gauges"]
-        if entry["name"] == "repro_worker_utilization"
+        if entry["name"] == "repro_epoch_pinned_readers"
     ]
-    assert gauge["value"] == 0.75
+    assert gauge["value"] == 3
 
 
 def test_delta_against_empty_baseline_is_snapshot():

@@ -39,11 +39,10 @@ def _pristine_obs():
 
 
 def _run_estimates(observability: bool, backend=None, plane=None,
-                   shards=None, rounds: int = 3) -> list[dict]:
+                   rounds: int = 3) -> list[dict]:
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
     config = EngineConfig(
         backend=backend,
-        shards=shards,
         data_plane=plane,
         k=8,
         budget_per_round=40,
@@ -54,7 +53,6 @@ def _run_estimates(observability: bool, backend=None, plane=None,
         source.schema,
         backend=config.backend,
         block_size=config.block_size,
-        backend_options=config.backend_factory_options(),
     )
     db.insert_many(source.batch_columns(600))
     engine = Engine(config, db=db)
@@ -69,13 +67,9 @@ def _run_estimates(observability: bool, backend=None, plane=None,
 # ----------------------------------------------------------------------
 # Bit identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["blocked", "packed", "sharded",
-                                     "mapped"])
+@pytest.mark.parametrize("backend", ["blocked", "packed"])
 @pytest.mark.parametrize("plane", ["vectorized", "scalar"])
-def test_estimates_bit_identical_on_vs_off(backend, plane, tmp_path,
-                                           monkeypatch):
-    if backend == "mapped":
-        monkeypatch.chdir(tmp_path)  # mapped scratch files
+def test_estimates_bit_identical_on_vs_off(backend, plane):
     off = _run_estimates(False, backend=backend, plane=plane)
     OBS.reset()
     OBS.disable()

@@ -22,7 +22,6 @@ from repro.api import (
     EstimationTask,
     has_snapshot,
     load_engine,
-    save_engine,
 )
 from repro.api.persistence import (
     MANIFEST_NAME,
@@ -34,6 +33,7 @@ from repro.errors import (
     AdmissionError,
     EstimationError,
     ExperimentError,
+    ReproError,
     WireFormatError,
 )
 from repro.hiddendb.schema import boolean_schema
@@ -42,7 +42,7 @@ from repro.service.cli import build_app, build_parser
 from repro.service.governor import BudgetGovernor, GovernorConfig
 from repro.service.protocol import RoundRequest, TaskRequest
 
-BACKENDS = ("blocked", "packed", "sharded", "mapped")
+BACKENDS = ("blocked", "packed")
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +230,34 @@ def test_newer_format_is_refused(tmp_path):
         load_engine(str(tmp_path))
 
 
+#: Storage backends earlier builds shipped and this one does not, with
+#: the factory options their snapshots recorded in ``store``.
+RETIRED_BACKENDS = {
+    "sharded": {"shards": 4, "workers": 2},
+    "mapped": {"path": "runs"},
+}
+
+
+@pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
+def test_snapshot_naming_a_retired_backend_is_refused(backend, tmp_path):
+    engine, _ = _build_engine(tmp_path)
+    manifest = engine.save()
+    state_path = tmp_path / manifest["directory"] / "state.json"
+    state = json.loads(state_path.read_text())
+    # Rewrite the committed state the way an older build wrote it.
+    state["backend"] = backend
+    state["config"].update(
+        backend=backend, shards=4 if backend == "sharded" else None,
+        parallelism=2, round_executor="thread", auto=False,
+    )
+    state["store"]["backend_options"] = RETIRED_BACKENDS[backend]
+    state_path.write_text(json.dumps(state))
+    with pytest.raises(ReproError) as caught:
+        Engine.load(str(tmp_path))
+    assert caught.value.code == ExperimentError.code
+    assert repr(backend) in str(caught.value)
+
+
 # ----------------------------------------------------------------------
 # Refusals: state that cannot cross a snapshot fails loudly
 # ----------------------------------------------------------------------
@@ -278,20 +306,6 @@ def test_engine_load_keeps_its_bulk_load_face(tmp_path):
     assert isinstance(Engine.load(str(tmp_path)), Engine)  # class: restore
 
 
-def test_mapped_run_files_live_under_store_dir(tmp_path):
-    engine, rng = _build_engine(tmp_path, backend="mapped")
-    _churn_round(engine, rng)
-    runs = tmp_path / "runs"
-    assert runs.is_dir() and any(runs.iterdir())
-    engine.save()
-    # Scratch runs are not part of the snapshot payload.
-    manifest = json.load(open(tmp_path / MANIFEST_NAME))
-    assert "runs" not in manifest["directory"]
-    restored = Engine.load(str(tmp_path))
-    assert restored.backend == "mapped"
-    _churn_round(restored, rng)
-
-
 # ----------------------------------------------------------------------
 # Governor state round-trip
 # ----------------------------------------------------------------------
@@ -337,8 +351,7 @@ def test_service_kill_and_restore_bit_identical(tmp_path):
     ).to_wire()
 
     durable_args = _service_args(
-        ("--store-dir", str(tmp_path), "--snapshot-every", "2",
-         "--backend", "mapped"),
+        ("--store-dir", str(tmp_path), "--snapshot-every", "2"),
     )
     app = build_app(durable_args)
     app.submit(request)
@@ -346,7 +359,7 @@ def test_service_kill_and_restore_bit_identical(tmp_path):
     del app  # killed; the auto-snapshot at round 4 is the recovery point
 
     restored = build_app(durable_args)  # build_app restores when possible
-    assert restored.engine.backend == "mapped"
+    assert restored.engine.backend == "blocked"
     assert restored.engine.tasks() == ("t",)
     restored.engine.advance_round()
     got = restored.run_rounds(RoundRequest(rounds=2, advance=True)).to_wire()

@@ -36,7 +36,7 @@ def _page(result):
 
 
 def _stats(interface):
-    return interface.stats.as_dict()
+    return interface.stats.to_dict()
 
 
 def _narrow_queries():

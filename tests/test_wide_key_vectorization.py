@@ -4,7 +4,7 @@ Two hot spots of wide-schema workloads (fig12's m=50 keys span ~157 bits)
 got vectorized twins in PR 5; these tests pin them to their scalar oracles:
 
 * :func:`repro.hiddendb.backends.mod_many` — the chunked int64-limb modulo
-  behind ``PrefixIndex.range_tids`` (and sharded partitioning) must equal
+  behind ``PrefixIndex.range_tids`` must equal
   the per-key ``%`` loop for any modulus class (power of two, small,
   48-bit Horner, and the big-modulus double-and-add path covering the
   rest of ``[2**48, 2**63)``).
@@ -182,15 +182,10 @@ def test_small_wide_runs_skip_the_probe_array():
 # ----------------------------------------------------------------------
 # range_tids on a wide schema: vectorized twin of iter_tids
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["blocked", "packed", "sharded"])
+@pytest.mark.parametrize("backend", ["blocked", "packed"])
 def test_range_tids_parity_on_wide_schema(backend):
     schema = Schema([Attribute(f"A{i}", 2 + i % 5) for i in range(40)])
-    index = PrefixIndex(
-        schema,
-        tuple(range(40)),
-        backend=backend,
-        backend_options={"shards": 3} if backend == "sharded" else None,
-    )
+    index = PrefixIndex(schema, tuple(range(40)), backend=backend)
     assert not index.codec.fits_int64  # the wide path is what we test
     rng = random.Random(3)
     for tid in range(600):

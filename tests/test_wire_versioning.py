@@ -105,6 +105,14 @@ class TestForwardTolerance:
             "k": 7, "schema_version": 99, "a_future_knob": True,
         })
         assert config.k == 7
+        # Knobs older builds wrote (scale-out modes since removed) are
+        # unknown keys too.
+        retired = {
+            "shards": 4, "parallelism": 2, "round_executor": "fork",
+            "auto": True,
+        }
+        payload = {**EngineConfig(k=9).to_dict(), **retired}
+        assert EngineConfig.from_dict(payload) == EngineConfig(k=9)
 
     def test_round_report_ignores_unknown_keys(self):
         payload = _report().to_dict()
@@ -128,6 +136,9 @@ class TestForwardTolerance:
         assert request.name == "t"
         rounds = RoundRequest.from_wire({"rounds": 3, "future": True})
         assert rounds.rounds == 3
+        # ``parallel`` is a key older clients still send.
+        rounds = RoundRequest.from_wire({"rounds": 1, "parallel": 4})
+        assert rounds == RoundRequest(rounds=1)
 
     def test_missing_version_reads_as_v0(self):
         payload = _report().to_dict()
