@@ -10,8 +10,6 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE``   — fraction of the paper's dataset size (default 0.05)
 * ``REPRO_BENCH_TRIALS``  — trials to average per experiment (default 2)
-* ``REPRO_BENCH_BACKEND`` — storage backend for every simulated database
-  (``blocked`` | ``packed``; default: the package default, ``blocked``)
 * ``REPRO_DATA_PLANE``    — data plane for bulk loads *and* query
   evaluation (``vectorized`` | ``scalar``; default ``vectorized``).  The
   vectorized setting selects the columnar query plane (vector candidate
@@ -21,8 +19,8 @@ Environment knobs:
   ``benchmarks/baselines.json``).
 
 Each run additionally drops a machine-readable ``BENCH_<figure>.json``
-next to the working directory (wall time, backend, query counts, series)
-so the performance trajectory can be compared across commits and backends.
+next to the working directory (wall time, data plane, query counts,
+series) so the performance trajectory can be compared across commits.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.hiddendb.backends import get_default_backend, set_default_backend
 from repro.hiddendb.store import get_data_plane
 from repro.obs import OBS
 
@@ -44,11 +41,6 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 
 #: Trials averaged per experiment by default.
 BENCH_TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "2"))
-
-#: Storage backend used for every database the benchmarks build.
-BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND")
-if BENCH_BACKEND:
-    set_default_backend(BENCH_BACKEND)
 
 
 def tail_mean(figure, series_name: str, tail: int = 5) -> float:
@@ -81,7 +73,6 @@ def _write_bench_json(request, figure, wall_seconds: float) -> None:
         "name": stem,
         "test": request.node.name,
         "figure_id": getattr(figure, "figure_id", None),
-        "backend": get_default_backend(),
         "data_plane": get_data_plane(),
         "scale": BENCH_SCALE,
         "trials": BENCH_TRIALS,

@@ -71,11 +71,7 @@ from .hiddendb import (
     QueryStatus,
     Schema,
     TopKInterface,
-    available_backends,
     boolean_schema,
-    get_default_backend,
-    set_default_backend,
-    using_backend,
 )
 
 __version__ = "1.1.0"
@@ -109,20 +105,16 @@ __all__ = [
     "SchemaError",
     "SizeChangeSpec",
     "TopKInterface",
-    "available_backends",
     "available_estimators",
     "avg_measure",
     "boolean_schema",
     "count_all",
     "count_where",
-    "get_default_backend",
     "proportion_where",
     "register_estimator",
     "resolve_estimator",
     "running_average",
-    "set_default_backend",
     "size_change",
     "sum_measure",
-    "using_backend",
     "__version__",
 ]

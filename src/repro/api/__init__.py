@@ -1,32 +1,22 @@
 """``repro.api`` — the unified public facade.
 
 One config object (:class:`EngineConfig`), one service boundary
-(:class:`Engine`), and symmetric registries for storage backends and
-estimators.  The CLI, the experiment harness, and the figure drivers are
-thin clients of this module; everything here is importable as::
+(:class:`Engine`), and an estimator registry.  The CLI, the experiment
+harness, and the figure drivers are thin clients of this module;
+everything here is importable as::
 
     from repro.api import Engine, EngineConfig, EstimationTask
 
-Extension points:
-
-* :func:`register_estimator` — ship a new estimation algorithm under a
-  public name (see :mod:`repro.extensions.counts` for a worked example
-  that adapts the interface before constructing its estimator).
-* :func:`register_backend` — ship a new storage engine behind the prefix
-  indexes (see :mod:`repro.hiddendb.backends`).
+Extension point: :func:`register_estimator` ships a new estimation
+algorithm under a public name (see :mod:`repro.extensions.counts` for a
+worked example that adapts the interface before constructing its
+estimator).
 """
 
 from ..core.estimators.registry import (
     available_estimators,
     register_estimator,
     resolve_estimator,
-)
-from ..hiddendb.backends import (
-    available_backends,
-    get_default_backend,
-    register_backend,
-    set_default_backend,
-    using_backend,
 )
 from ..hiddendb.store import (
     get_data_plane,
@@ -56,19 +46,14 @@ __all__ = [
     "has_snapshot",
     "load_engine",
     "save_engine",
-    "available_backends",
     "available_estimators",
     "get_data_plane",
-    "get_default_backend",
     "get_default_observability",
     "overriding_data_plane",
-    "register_backend",
     "register_estimator",
     "resolve_estimator",
     "set_data_plane",
-    "set_default_backend",
     "set_default_observability",
-    "using_backend",
     "using_data_plane",
     "using_observability",
 ]

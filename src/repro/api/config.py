@@ -1,26 +1,23 @@
 """One config object for every engine knob.
 
 Before :mod:`repro.api`, the knobs of a simulation were threaded ad hoc:
-``backend=`` kwargs, a process-global data-plane switch, an interface
-``k`` here, a ``budget_per_round`` there, and environment variables
-(``REPRO_DATA_PLANE``, the benchmarks' ``REPRO_BENCH_BACKEND``) that could
-silently override program decisions.  :class:`EngineConfig` consolidates
-them with one documented precedence order, highest first:
+a process-global data-plane switch, an interface ``k`` here, a
+``budget_per_round`` there, and environment variables
+(``REPRO_DATA_PLANE``) that could silently override program decisions.
+:class:`EngineConfig` consolidates them with one documented precedence
+order, highest first:
 
 1. **Explicit config field** — a non-``None`` value on the
    :class:`EngineConfig` an :class:`~repro.api.engine.Engine` was built
    with (or a per-task override on an
    :class:`~repro.api.engine.EstimationTask`).
-2. **Process-wide programmatic default** — ``set_default_backend`` /
-   ``set_data_plane`` (or their scoped ``using_*`` twins).
+2. **Process-wide programmatic default** — ``set_data_plane`` /
+   ``set_default_observability`` (or their scoped ``using_*`` twins).
 3. **Environment variable** — ``REPRO_DATA_PLANE`` for the data plane,
    ``REPRO_OBS`` for the observability plane.  Environment variables are
    *defaults only*: they never override levels 1–2 (see
    ``tests/test_data_plane_precedence.py``).
-4. **Built-in default** — ``blocked`` storage, ``vectorized`` data plane.
-
-``REPRO_BENCH_BACKEND`` remains a benchmarks-harness convenience (it calls
-``set_default_backend`` at level 2) and is not consulted by the library.
+4. **Built-in default** — ``vectorized`` data plane, observability off.
 """
 
 from __future__ import annotations
@@ -30,13 +27,7 @@ from contextlib import contextmanager
 from typing import Iterator
 from zlib import crc32
 
-from ..errors import ExperimentError, SchemaError
-from ..hiddendb.backends import (
-    DEFAULT_BLOCK_SIZE,
-    get_default_backend,
-    resolve_backend,
-    using_backend,
-)
+from ..errors import ExperimentError
 from ..hiddendb.store import (
     DATA_PLANES,
     get_data_plane,
@@ -55,10 +46,6 @@ class EngineConfig:
 
     Parameters
     ----------
-    backend:
-        Storage backend behind every prefix index of the engine's
-        database.  ``None`` defers to the process default
-        (``set_default_backend``, built-in ``"blocked"``).
     data_plane:
         ``"vectorized"`` or ``"scalar"``; scoped around every engine
         operation.  ``None`` defers to the process default
@@ -75,8 +62,6 @@ class EngineConfig:
         from ``seed`` and the task *name* (stable across runs and
         submission order).  ``"shared"``: every task uses ``seed``
         verbatim.  A task's explicit ``seed`` always wins.
-    block_size:
-        Storage-engine block/buffer tuning knob, threaded to the backend.
     overlap:
         Enable the HTAP epoch split: ``advance_round`` publishes an
         immutable :class:`~repro.hiddendb.epoch.StoreEpoch` and
@@ -110,13 +95,11 @@ class EngineConfig:
         *disables* a registry another engine enabled.
     """
 
-    backend: str | None = None
     data_plane: str | None = None
     k: int = 100
     budget_per_round: int = 300
     seed: int = 0
     seed_policy: str = "per-task"
-    block_size: int = DEFAULT_BLOCK_SIZE
     overlap: bool = False
     report_log_limit: int | None = None
     store_dir: str | None = None
@@ -131,8 +114,6 @@ class EngineConfig:
             raise ExperimentError("k must be at least 1")
         if self.budget_per_round < 1:
             raise ExperimentError("budget_per_round must be positive")
-        if self.block_size < 2:
-            raise ExperimentError("block_size must be at least 2")
         if self.report_log_limit is not None and self.report_log_limit < 1:
             raise ExperimentError("report_log_limit must be positive")
         if self.seed_policy not in SEED_POLICIES:
@@ -145,22 +126,10 @@ class EngineConfig:
                 f"unknown data plane {self.data_plane!r}; "
                 f"available: {', '.join(DATA_PLANES)}"
             )
-        if self.backend is not None:
-            try:
-                resolve_backend(self.backend)
-            except SchemaError as exc:
-                # One exception surface for every bad config field.
-                raise ExperimentError(str(exc)) from None
 
     # ------------------------------------------------------------------
     # Resolution against the process-wide defaults (precedence levels 2-4)
     # ------------------------------------------------------------------
-    def resolved_backend(self) -> str:
-        """The backend this config selects, after the precedence order."""
-        return self.backend if self.backend is not None else (
-            get_default_backend()
-        )
-
     def resolved_data_plane(self) -> str:
         """The data plane this config selects, after the precedence order."""
         return self.data_plane if self.data_plane is not None else (
@@ -186,9 +155,9 @@ class EngineConfig:
         everything run inside the scope on this thread and is invisible
         to concurrent threads — no process-global state is mutated.
         """
-        with using_backend(self.backend), overriding_data_plane(
-            self.data_plane
-        ), using_observability(self.observability):
+        with overriding_data_plane(self.data_plane), using_observability(
+            self.observability
+        ):
             yield self
 
     def task_seed(self, task_name: str, explicit: int | None = None) -> int:

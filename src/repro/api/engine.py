@@ -51,7 +51,11 @@ from ..hiddendb.epoch import StoreEpoch
 from ..hiddendb.interface import TopKInterface
 from ..hiddendb.ranking import RankingPolicy
 from ..hiddendb.schema import Schema
-from ..hiddendb.store import get_data_plane, overriding_data_plane
+from ..hiddendb.store import (
+    INDEX_ENGINE,
+    get_data_plane,
+    overriding_data_plane,
+)
 from ..obs import OBS
 from .config import EngineConfig
 
@@ -273,17 +277,15 @@ class Engine:
 
     Build it around an existing database or let it build one::
 
-        config = EngineConfig(backend="packed", k=100, budget_per_round=300)
+        config = EngineConfig(k=100, budget_per_round=300)
         engine = Engine(config, schema=schema)
         engine.load(payloads)
         engine.submit(EstimationTask("count", [count_all()], "RS"))
         report = engine.run_round()["count"]
 
-    When ``db`` is given, its storage backend stands as built — the
-    config's ``backend`` field only governs databases the engine itself
-    creates.  The config's ``data_plane`` is scoped around every engine
-    operation (submit, load, run_round, apply_updates), so one engine can
-    pin a plane without touching the process default.
+    The config's ``data_plane`` is scoped around every engine operation
+    (submit, load, run_round, apply_updates), so one engine can pin a
+    plane without touching the process default.
     """
 
     def __init__(
@@ -305,12 +307,7 @@ class Engine:
                     "Engine needs either an existing db or a schema to "
                     "build one"
                 )
-            db = HiddenDatabase(
-                schema,
-                ranking=ranking,
-                block_size=self.config.block_size,
-                backend=self.config.backend,
-            )
+            db = HiddenDatabase(schema, ranking=ranking)
         elif schema is not None:
             raise ExperimentError("pass either db or schema, not both")
         elif ranking is not None:
@@ -380,11 +377,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Storage backend behind the shared database."""
-        return self.db.backend
-
     @property
     def current_round(self) -> int:
         return self.db.current_round
@@ -709,7 +701,7 @@ class Engine:
     def metrics(self) -> dict:
         """A stamped, strict-JSON observability snapshot of this engine.
 
-        Combines the engine's own view (round index, backend, per-task
+        Combines the engine's own view (round index, index engine, per-task
         counters and interface stats) with the process-global registry
         (:meth:`repro.obs.MetricsRegistry.snapshot`) and its derived
         summary.  Always callable — with observability disabled the
@@ -730,7 +722,7 @@ class Engine:
         return stamp({
             "enabled": OBS.enabled,
             "round_index": self.current_round,
-            "backend": self.backend,
+            "backend": INDEX_ENGINE,
             "tasks": tasks,
             "registry": OBS.snapshot(),
             "summary": OBS.summary(),
@@ -738,6 +730,6 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"Engine(backend={self.backend!r}, n={len(self.db)}, "
+            f"Engine(n={len(self.db)}, "
             f"round={self.current_round}, tasks={list(self._tasks)})"
         )

@@ -1,7 +1,7 @@
 """Atomic epoch snapshots: save a live engine, restore it bit-identically.
 
-The durability layer of the engine (snapshots are backend-agnostic).  A
-*store directory* holds at most one committed snapshot::
+The durability layer of the engine.  A *store directory* holds at most
+one committed snapshot::
 
     <store>/MANIFEST.json        # the commit point (atomic rename target)
     <store>/epoch-<N>/           # the committed epoch's payload
@@ -51,11 +51,10 @@ import numpy as np
 
 from ..core.wire import decode_float, encode_float, stamp, wire_version
 from ..errors import ExperimentError, WireFormatError
-from ..hiddendb.backends import available_backends
 from ..hiddendb.database import HiddenDatabase
 from ..hiddendb.ranking import MeasureScore, RandomScore, RecencyScore
 from ..hiddendb.schema import Attribute, Schema
-from ..hiddendb.store import _HeapBlock
+from ..hiddendb.store import DEFAULT_BLOCK_SIZE, INDEX_ENGINE, _HeapBlock
 from ..hiddendb.tuples import HiddenTuple, TupleBatch
 from .config import EngineConfig
 
@@ -66,6 +65,11 @@ FORMAT_VERSION = 1
 
 #: File name of the commit point inside a store directory.
 MANIFEST_NAME = "MANIFEST.json"
+
+#: ``backend`` names a snapshot may carry and still restore.  Indexes are
+#: rebuilt from the heap, so snapshots written by older builds under the
+#: ``packed`` engine load as well as ``blocked`` ones.
+RESTORABLE_ENGINES = ("blocked", "packed")
 
 _EPOCH_DIR = re.compile(r"^epoch-(\d+)$")
 
@@ -205,7 +209,7 @@ def _engine_state(engine, extra) -> dict:
     return stamp({
         "format": FORMAT_VERSION,
         "config": engine.config.to_dict(),
-        "backend": engine.db.backend,
+        "backend": INDEX_ENGINE,
         "schema": {
             "attributes": [
                 {"name": a.name, "values": list(a.values)}
@@ -219,8 +223,8 @@ def _engine_state(engine, extra) -> dict:
             "next_tid": engine.db._next_tid,
         },
         "store": {
-            "block_size": store._block_size,
-            # Kept in format 1 for readers that expect it; always empty.
+            # Kept in format 1 for readers that expect them; fixed values.
+            "block_size": DEFAULT_BLOCK_SIZE,
             "backend_options": {},
             "epoch": store._epoch,
             "blocks": [
@@ -445,9 +449,10 @@ def load_engine(path: str):
     :func:`save_engine` captured.  Prefix indexes are rebuilt from the
     restored heap (their *contents* are a pure function of the live
     tuples; estimators only observe query results, so rebuild equals
-    recovery).  Raises :class:`~repro.errors.ExperimentError` when no
-    snapshot has ever committed at ``path``, or when the snapshot names a
-    storage backend this build does not register.
+    recovery), so a snapshot restores whichever index engine in
+    :data:`RESTORABLE_ENGINES` wrote it.  Raises
+    :class:`~repro.errors.ExperimentError` when no snapshot has ever
+    committed at ``path``, or when the snapshot names any other engine.
     """
     from ..core.estimators.base import RoundReport
     from ..service.protocol import specs_from_wire
@@ -465,11 +470,11 @@ def load_engine(path: str):
     with open(os.path.join(epoch_path, "state.json"), "rb") as handle:
         state = json.loads(handle.read())
     wire_version(state)  # malformed version markers fail loudly
-    if state["backend"] not in available_backends():
+    if state["backend"] not in RESTORABLE_ENGINES:
         raise ExperimentError(
             f"snapshot in {path!r} uses storage backend "
-            f"{state['backend']!r}, which this build does not ship "
-            f"(available: {', '.join(available_backends())})"
+            f"{state['backend']!r}, which this build does not restore "
+            f"(restorable: {', '.join(RESTORABLE_ENGINES)})"
         )
     config = EngineConfig.from_dict(state["config"])
     schema = Schema(
@@ -479,12 +484,7 @@ def load_engine(path: str):
         ],
         measures=state["schema"]["measures"],
     )
-    db = HiddenDatabase(
-        schema,
-        ranking=_ranking_from_wire(state["ranking"]),
-        block_size=state["store"]["block_size"],
-        backend=state["backend"],
-    )
+    db = HiddenDatabase(schema, ranking=_ranking_from_wire(state["ranking"]))
     _restore_store(db.store, state["store"], epoch_path)
     db._round = int(state["db"]["round"])
     db._next_tid = int(state["db"]["next_tid"])

@@ -1,4 +1,4 @@
-"""First-class estimator registry (mirrors ``register_backend``).
+"""First-class estimator registry.
 
 Estimators are registered under a public name so experiment harnesses, the
 CLI, and the :mod:`repro.api` engine facade can resolve them without

@@ -4,7 +4,7 @@ Installed as ``repro-experiments``::
 
     repro-experiments list
     repro-experiments run fig02 --scale 0.1 --trials 3
-    repro-experiments run fig12 --backend packed --data-plane vectorized
+    repro-experiments run fig12 --data-plane scalar
     repro-experiments run all --out results.txt
 
 The CLI is a thin client of :mod:`repro.api`: the flags populate one
@@ -20,7 +20,6 @@ import sys
 import time
 
 from ..api import EngineConfig
-from ..hiddendb.backends import available_backends
 from ..obs import OBS, format_span_tree
 from .figures import FIGURES
 
@@ -46,13 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int, default=None,
                      help="per-round query budget G")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="storage backend for every simulated database "
-             "(default: the built-in blocked sorted list)",
-    )
     run.add_argument(
         "--data-plane",
         choices=("vectorized", "scalar"),
@@ -115,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     # One config object carries every knob; applying it scopes the process
     # defaults that the figure drivers' engines then inherit.
     config = EngineConfig(
-        backend=args.backend,
         data_plane=args.data_plane,
         observability=True if args.profile else None,
     )

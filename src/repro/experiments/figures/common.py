@@ -63,7 +63,7 @@ class FigureResult:
         self.series = {name: list(values) for name, values in series.items()}
         self.notes = notes
         self.log_y = log_y
-        # Machine-readable extras (query counts, backend, ...) consumed by
+        # Machine-readable extras (query counts, ...) consumed by
         # the benchmark harness's BENCH_*.json emitter.
         self.meta = dict(meta) if meta else {}
 
@@ -112,7 +112,6 @@ def autos_env_factory(
     initial: int = AUTOS_DEFAULT_INITIAL,
     total: int = AUTOS_TOTAL_TUPLES,
     num_attributes: int | None = None,
-    backend: str | None = None,
 ) -> Callable[[int], tuple[HiddenDatabase, UpdateSchedule]]:
     """Environment factory for the scaled Yahoo! Autos default workload."""
     n_total = max(20, int(round(total * scale)))
@@ -127,7 +126,7 @@ def autos_env_factory(
             schema, payloads = _truncate_attributes(
                 schema, payloads, num_attributes
             )
-        db = HiddenDatabase(schema, backend=backend)
+        db = HiddenDatabase(schema)
         db.insert_many(payloads[:n_initial])
         schedule = SnapshotPoolSchedule(
             payloads[n_initial:],
@@ -173,13 +172,12 @@ def run_three_way(
     estimators: Sequence[EstimatorFactory] | None = None,
     seed: int = 0,
     intra_round: bool = False,
-    backend: str | None = None,
     config: EngineConfig | None = None,
 ) -> ExperimentResult:
     """Run one experiment comparing estimators (default: all three).
 
     ``config`` routes every engine knob at once (and wins over ``k`` /
-    ``budget`` / ``backend`` when given); execution goes through the
+    ``budget`` when given); execution goes through the
     :class:`repro.api.Engine` facade either way.
     """
     experiment = Experiment(
@@ -193,7 +191,6 @@ def run_three_way(
         estimators=estimators or default_estimators(),
         base_seed=seed,
         intra_round=intra_round,
-        backend=backend,
         config=config,
     )
     return experiment.run()

@@ -94,7 +94,7 @@ class Experiment:
     """A repeatable multi-round, multi-trial estimator comparison.
 
     Either pass the legacy knobs (``k``, ``budget_per_round``,
-    ``backend``, ``base_seed``) or hand in an
+    ``base_seed``) or hand in an
     :class:`~repro.api.EngineConfig` via ``config`` — the config wins
     when both are given, except that an explicitly passed ``base_seed``
     takes precedence over ``config.seed`` for trial seeding.  Estimates
@@ -113,7 +113,6 @@ class Experiment:
         estimators: Sequence[EstimatorFactory] | None = None,
         base_seed: int | None = None,
         intra_round: bool = False,
-        backend: str | None = None,
         config: EngineConfig | None = None,
     ):
         if rounds < 1 or trials < 1:
@@ -123,7 +122,6 @@ class Experiment:
         self.specs_factory = specs_factory
         if config is None:
             config = EngineConfig(
-                backend=backend,
                 k=k,
                 budget_per_round=budget_per_round,
                 seed=base_seed if base_seed is not None else 0,
@@ -147,10 +145,6 @@ class Experiment:
     @property
     def budget_per_round(self) -> int:
         return self.config.budget_per_round
-
-    @property
-    def backend(self) -> str | None:
-        return self.config.backend
 
     def _build_env(self, seed: int) -> Env:
         with self.config.apply(), OBS.span("experiment.env_build"):

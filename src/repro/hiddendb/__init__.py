@@ -4,18 +4,7 @@ Public surface: schemas and tuples, the dynamic database, its restrictive
 top-k search interface, and budgeted query sessions.
 """
 
-from .backends import (
-    PackedArrayBackend,
-    StorageBackend,
-    available_backends,
-    get_default_backend,
-    make_backend,
-    mod_many,
-    register_backend,
-    set_default_backend,
-    shift_many,
-    using_backend,
-)
+from .backends import mod_many
 from .database import HiddenDatabase
 from .interface import TopKInterface
 from .query import ConjunctiveQuery
@@ -42,7 +31,6 @@ __all__ = [
     "HiddenTuple",
     "KeyCodec",
     "MeasureScore",
-    "PackedArrayBackend",
     "PrefixIndex",
     "QueryResult",
     "QuerySession",
@@ -51,22 +39,14 @@ __all__ = [
     "RecencyScore",
     "Schema",
     "SortedKeyList",
-    "StorageBackend",
     "TopKInterface",
     "TupleBatch",
     "TupleStore",
-    "available_backends",
     "boolean_schema",
     "get_data_plane",
-    "get_default_backend",
-    "make_backend",
     "make_tuple",
     "mod_many",
     "overriding_data_plane",
-    "register_backend",
     "set_data_plane",
-    "set_default_backend",
-    "shift_many",
-    "using_backend",
     "using_data_plane",
 ]

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..obs import OBS
-from .backends import DEFAULT_BLOCK_SIZE
 from .epoch import StoreEpoch
 from .ranking import RandomScore, RankingPolicy, scores_for_batch
 from .schema import Schema
@@ -71,31 +70,15 @@ def reading_epoch(db: "HiddenDatabase", epoch: StoreEpoch):
 
 
 class HiddenDatabase:
-    """A dynamic hidden web database with round semantics.
+    """A dynamic hidden web database with round semantics."""
 
-    ``backend`` selects the storage engine behind every prefix index
-    (``None`` = the process-wide default, see
-    :mod:`repro.hiddendb.backends`).
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        ranking: RankingPolicy | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str | None = None,
-    ):
+    def __init__(self, schema: Schema, ranking: RankingPolicy | None = None):
         self.schema = schema
         self.ranking = ranking if ranking is not None else RandomScore()
-        self.store = TupleStore(schema, block_size=block_size, backend=backend)
+        self.store = TupleStore(schema)
         self._round = 1
         self._next_tid = 0
         self._published: StoreEpoch | None = None
-
-    @property
-    def backend(self) -> str:
-        """Name of the storage backend behind this database's indexes."""
-        return self.store.backend_name
 
     # ------------------------------------------------------------------
     # Round bookkeeping

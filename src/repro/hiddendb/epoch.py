@@ -17,10 +17,10 @@ A publish is cheap by construction:
 * the scalar dict remainder copies shallowly
   (:class:`~repro.hiddendb.tuples.HiddenTuple` is never mutated in
   place);
-* every prefix index freezes its storage backend
-  (:func:`freeze_backend`): the packing engines hand their sorted run
-  over *by reference* (compactions replace runs, never mutate them), the
-  blocked engine pays one content copy.
+* every prefix index freezes its key list
+  (:meth:`SortedKeyList.freeze
+  <repro.hiddendb.store.SortedKeyList.freeze>`): one content copy per
+  index that changed since the previous publish.
 
 The epoch's ``mutation_epoch`` counter is frozen at publish time, so
 deferred result pages pinned to an epoch can never raise
@@ -38,7 +38,6 @@ Mutation entry points raise :class:`~repro.errors.ExperimentError`.
 from __future__ import annotations
 
 import threading
-from array import array
 from bisect import bisect_left
 from typing import Iterator
 
@@ -48,11 +47,9 @@ from ..errors import ExperimentError
 from .store import PrefixIndex, TupleStore
 
 __all__ = [
-    "FrozenBuffered",
     "FrozenPrefixIndex",
     "FrozenRun",
     "StoreEpoch",
-    "freeze_backend",
 ]
 
 #: Exclusive int64 bound — rank probes at or past it clamp to the run end
@@ -68,69 +65,35 @@ def _frozen(operation: str):
 
 
 class FrozenRun:
-    """An immutable sorted key multiset — one backend's frozen contents.
+    """An immutable sorted key multiset — a key list's frozen contents.
 
-    Holds either an int64 vector (zero-copy view of a packed engine's
-    run, or a copy of a blocked engine's contents) or, for key universes
-    beyond int64, a plain list of Python ints with the packed engine's
-    top-63-bits probe array riding along for C-speed window narrowing.
-
-    Implements the read subset of the
-    :class:`~repro.hiddendb.backends.StorageBackend` protocol; mutation
+    Holds an int64 vector when every key fits 64 bits, else (for key
+    universes beyond int64) a plain list of Python ints.  Implements the
+    read methods of :class:`~repro.hiddendb.store.SortedKeyList`; mutation
     entry points raise.
     """
 
-    __slots__ = ("_run", "_is_array", "_run_hi", "_hi_shift", "_key_bound")
+    __slots__ = ("_run", "_is_array")
 
-    def __init__(
-        self,
-        keys,
-        run_hi: np.ndarray | None = None,
-        hi_shift: int = 0,
-        key_bound: int | None = None,
-    ):
-        if isinstance(keys, array):
-            # A packed engine's array('q') run: zero-copy int64 view (the
-            # view keeps the buffer alive; the engine only ever *replaces*
-            # its run, so the contents can never change underneath).
-            self._run = (
-                np.frombuffer(keys, dtype=np.int64)
-                if len(keys)
-                else np.empty(0, dtype=np.int64)
-            )
-            self._is_array = True
-        elif isinstance(keys, np.ndarray):
+    def __init__(self, keys):
+        if isinstance(keys, np.ndarray):
             self._run = np.asarray(keys, dtype=np.int64)
             self._is_array = True
         else:
             self._run = list(keys)
             self._is_array = False
-        self._run_hi = run_hi
-        self._hi_shift = hi_shift
-        self._key_bound = key_bound
 
     def __len__(self) -> int:
         return len(self._run)
 
     def _bisect(self, key: int) -> int:
-        """``bisect_left`` over the frozen run, probe-accelerated when
-        the run holds wide Python ints."""
+        """``bisect_left`` over the frozen run."""
         if self._is_array:
             if key >= _INT64_BOUND:
                 return len(self._run)
             if key < -_INT64_BOUND:
                 return 0
             return int(np.searchsorted(self._run, key, side="left"))
-        run_hi = self._run_hi
-        if (
-            run_hi is not None
-            and self._key_bound is not None
-            and 0 <= key < self._key_bound
-        ):
-            probe = key >> self._hi_shift
-            lo = int(np.searchsorted(run_hi, probe, side="left"))
-            hi = int(np.searchsorted(run_hi, probe, side="right"))
-            return bisect_left(self._run, key, lo, hi)
         return bisect_left(self._run, key)
 
     def rank(self, key: int) -> int:
@@ -144,7 +107,8 @@ class FrozenRun:
         return self._bisect(hi) - self._bisect(lo)
 
     def range_keys(self, lo: int, hi: int) -> "np.ndarray | list[int]":
-        """Keys in ``[lo, hi)`` as one vector (zero-copy view when packed)."""
+        """Keys in ``[lo, hi)`` as one vector (a zero-copy view of an
+        int64 run)."""
         if hi <= lo:
             return (
                 np.empty(0, dtype=np.int64) if self._is_array else []
@@ -177,108 +141,24 @@ class FrozenRun:
         """Validate internal structure (used by property tests)."""
         run = list(self._run)
         assert run == sorted(run), "unsorted frozen run"
-        if self._run_hi is not None:
-            assert len(self._run_hi) == len(run), "stale probe array"
-
-
-class FrozenBuffered:
-    """A frozen *buffered* engine state — run plus pending churn buffers.
-
-    Produced by the packing engines' ``freeze()`` when insert/delete
-    buffers are non-empty at publish time: rather than eagerly compacting
-    the whole O(n) run into a fresh one (work the live lazy-merge read
-    path never does), the engine hands over a point-in-time clone of
-    itself — shared immutable run, *copied* small tail/dead buffers — and
-    this wrapper exposes its read methods while refusing mutation.  Reads
-    execute the exact live query code (run bisect + tail/dead buffer
-    adjustment), so frozen answers are bit-identical to live answers at
-    the publish instant by construction, and a publish flip costs
-    O(pending churn) instead of O(n).
-    """
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view):
-        self._view = view
-
-    def __len__(self) -> int:
-        return len(self._view)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._view
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._view)
-
-    def rank(self, key: int) -> int:
-        """Number of stored keys strictly smaller than ``key``."""
-        return self._view.rank(key)
-
-    def count_range(self, lo: int, hi: int) -> int:
-        """Number of keys in the half-open interval ``[lo, hi)``."""
-        return self._view.count_range(lo, hi)
-
-    def iter_range(self, lo: int, hi: int) -> Iterator[int]:
-        """Yield keys in ``[lo, hi)`` in ascending order."""
-        return self._view.iter_range(lo, hi)
-
-    def range_keys(self, lo: int, hi: int) -> "np.ndarray | list[int]":
-        """Keys in ``[lo, hi)`` as one vector (zero-copy run slice when
-        no buffered key falls inside the range)."""
-        return self._view.range_keys(lo, hi)
-
-    def add(self, key: int) -> None:
-        _frozen("add to a frozen buffered view")
-
-    def remove(self, key: int) -> None:
-        _frozen("remove from a frozen buffered view")
-
-    def bulk_add(self, keys) -> None:
-        _frozen("bulk_add to a frozen buffered view")
-
-    def bulk_remove(self, keys) -> None:
-        _frozen("bulk_remove from a frozen buffered view")
-
-    def check_invariants(self) -> None:
-        """Validate the underlying clone (used by property tests)."""
-        self._view.check_invariants()
-
-
-def freeze_backend(backend):
-    """Freeze any storage backend into an immutable read view.
-
-    Backends that know how (:meth:`PackedArrayBackend.freeze
-    <repro.hiddendb.backends.PackedArrayBackend.freeze>` and friends)
-    produce the cheapest view they can; third-party engines degrade to a
-    one-pass content copy with identical query results.
-    """
-    freeze = getattr(backend, "freeze", None)
-    if freeze is not None:
-        return freeze()
-    keys = list(backend)
-    try:
-        return FrozenRun(np.asarray(keys, dtype=np.int64))
-    except OverflowError:
-        return FrozenRun(keys)
 
 
 class FrozenPrefixIndex(PrefixIndex):
     """A live prefix index's codec over its frozen key multiset.
 
     Shares the (immutable) codec and attribute order with the live index
-    and swaps the storage backend for its frozen view, so every query
+    and swaps the key list for its frozen view, so every query
     method — ``count_prefix`` / ``iter_tids`` / ``range_tids`` — is
     inherited and bit-identical to querying the live index at the
     publish instant.
     """
 
     def __init__(self, live: PrefixIndex):
-        # Deliberately no super().__init__: the codec/backend are adopted
+        # Deliberately no super().__init__: the codec and keys are adopted
         # from the live index, not rebuilt.
         self.attr_order = live.attr_order
-        self.backend_name = live.backend_name
         self.codec = live.codec
-        self._keys = freeze_backend(live._keys)
+        self._keys = live._keys.freeze()
 
     def add(self, t) -> None:
         _frozen("index into a frozen prefix index")
@@ -319,8 +199,6 @@ class StoreEpoch(TupleStore):
         # Deliberately no super().__init__: every field is adopted from
         # the live store as a snapshot, not rebuilt empty.
         self.schema = store.schema
-        self.backend_name = store.backend_name
-        self._block_size = store._block_size
         self._tuples = dict(store._tuples)
         self._blocks = [block.snapshot() for block in store._blocks]
         self._block_los = list(store._block_los)

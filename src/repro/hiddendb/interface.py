@@ -145,11 +145,6 @@ class TopKInterface:
         """Round index, as a client could infer from wall-clock time."""
         return self.db.current_round
 
-    @property
-    def backend(self) -> str:
-        """Storage backend behind the database (simulator-side metadata)."""
-        return self.db.backend
-
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------

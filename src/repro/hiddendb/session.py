@@ -46,11 +46,6 @@ class QuerySession:
         return self.interface.k
 
     @property
-    def backend(self) -> str:
-        """Storage backend serving this session (simulator-side metadata)."""
-        return self.interface.backend
-
-    @property
     def stats(self):
         """The interface's query counters (simulator-side metadata)."""
         return self.interface.stats

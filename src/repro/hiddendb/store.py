@@ -13,13 +13,12 @@ Components:
 * :class:`SortedKeyList` — a blocked sorted list of integers (the same idea
   as ``sortedcontainers.SortedList``, reimplemented because this environment
   is offline): O(sqrt n) insert/delete, O(log n + #blocks) positional rank.
-  Registered as the ``"blocked"`` storage backend (the default).
 * :class:`KeyCodec` — the mixed-radix key codec over one attribute order,
   with vectorized :meth:`KeyCodec.encode_many` / :meth:`KeyCodec.decode_many`
   batch paths (pure int64 when the key universe fits 64 bits, int64 limbs
   combined with arbitrary-precision arithmetic otherwise).
-* :class:`PrefixIndex` — a key codec plus any
-  :class:`~repro.hiddendb.backends.StorageBackend` holding the key multiset.
+* :class:`PrefixIndex` — a key codec plus the :class:`SortedKeyList`
+  holding the key multiset.
 * :class:`TupleStore` — the tuple heap plus any number of prefix indexes,
   with a mutation-event stream for ground-truth observers, bulk
   insert/delete, and a deferred-maintenance :meth:`TupleStore.bulk` context
@@ -49,27 +48,29 @@ from ..errors import SchemaError
 from ..obs import OBS
 from .backends import (
     DEFAULT_BLOCK_SIZE,
-    StorageBackend,
     _as_int64_batch,
     _sorted_multiset_subtract,
-    make_backend,
     mod_many,
-    register_backend,
-    resolve_backend,
 )
 from .schema import Schema
 from .tuples import HiddenTuple, TupleBatch
 
+#: The name the prefix-index storage (:class:`SortedKeyList`) reports in
+#: snapshots, on ``/v1/healthz``, in ``Engine.metrics()`` and as a metric
+#: label.
+INDEX_ENGINE = "blocked"
+
 #: Copy-on-write privatizations (import-time handle; see repro.obs).
 _PRIVATIZED_BLOCKS = OBS.counter("repro_epoch_privatized_blocks_total")
-_BLOCKED_REFREEZE_REUSED = OBS.counter(
-    "repro_epoch_refreeze_reused_total", {"backend": "blocked"}
+_REFREEZE_REUSED = OBS.counter(
+    "repro_epoch_refreeze_reused_total", {"backend": INDEX_ENGINE}
 )
 
 __all__ = [
     "DATA_PLANES",
     "DEFAULT_BLOCK_SIZE",
     "GatheredRows",
+    "INDEX_ENGINE",
     "KeyCodec",
     "PrefixIndex",
     "SortedKeyList",
@@ -443,9 +444,8 @@ class SortedKeyList:
     def freeze(self):
         """An immutable snapshot copy of the current multiset contents.
 
-        Blocks are mutated in place by ``add`` / ``remove``, so (unlike
-        the packed engines' zero-copy run hand-off) the blocked engine
-        must copy at publish time: one int64 vector when every key fits
+        Blocks are mutated in place by ``add`` / ``remove``, so a
+        freeze copies the contents: one int64 vector when every key fits
         64 bits, a plain list of Python ints for wide key universes.
         """
         from .epoch import FrozenRun
@@ -454,7 +454,7 @@ class SortedKeyList:
             self._frozen_rev == self._freeze_rev
         ):
             if OBS.enabled:
-                _BLOCKED_REFREEZE_REUSED.inc()
+                _REFREEZE_REUSED.inc()
             return self._frozen_view
         try:
             keys = self._as_array()
@@ -478,14 +478,6 @@ class SortedKeyList:
             previous_max = block_max
             total += len(block)
         assert total == self._size, "size counter out of sync"
-
-
-register_backend(
-    "blocked",
-    lambda block_size=DEFAULT_BLOCK_SIZE, key_bound=None: SortedKeyList(
-        block_size=block_size
-    ),
-)
 
 
 #: Largest exclusive key bound representable in a signed 64-bit key vector.
@@ -552,11 +544,6 @@ class KeyCodec:
             product *= radix
         plan.append((start, len(digits), product))
         self._limb_plan = tuple(plan)
-
-    @property
-    def key_bound(self) -> int:
-        """Exclusive upper bound of the key universe (``spans[0]``)."""
-        return self.spans[0]
 
     @property
     def fits_int64(self) -> bool:
@@ -656,22 +643,20 @@ class KeyCodec:
 
 
 class PrefixIndex:
-    """A key codec plus the storage backend holding the key multiset.
+    """A key codec plus the :class:`SortedKeyList` holding the key multiset.
 
-    The key multiset lives in a pluggable
-    :class:`~repro.hiddendb.backends.StorageBackend` selected by name
-    (``None`` = the process-wide default).
+    ``block_size`` sizes the key list's blocks (unit tests shrink it to
+    force multi-block layouts at small n).
 
     **Reader-concurrency contract:** all query methods (``count_prefix``,
     ``iter_tids``, ``range_tids``, ``prefix_range``, ``__len__``) are safe
     to call from any number of threads concurrently as long as no mutation
-    (``add`` / ``remove`` / ``bulk_*``) runs at the same time.  The shipped
-    backends' read-side caches only grow under the GIL (see
-    :mod:`repro.hiddendb.backends`); mutations must be serialized against
-    readers externally — the engine facade's round barrier does this.
+    (``add`` / ``remove`` / ``bulk_*``) runs at the same time.  Mutations
+    must be serialized against readers externally — the engine facade's
+    round barrier does this.
     """
 
-    __slots__ = ("attr_order", "backend_name", "codec", "_keys")
+    __slots__ = ("attr_order", "codec", "_keys")
 
     def __init__(
         self,
@@ -679,7 +664,6 @@ class PrefixIndex:
         attr_order: Sequence[int],
         tid_span: int = 2**48,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str | None = None,
     ):
         order = tuple(attr_order)
         if sorted(order) != list(range(schema.num_attributes)):
@@ -690,12 +674,7 @@ class PrefixIndex:
         self.codec = KeyCodec(
             tuple(schema.attributes[a].size for a in order), order, tid_span
         )
-        self.backend_name = resolve_backend(backend)
-        self._keys: StorageBackend = make_backend(
-            self.backend_name,
-            block_size=block_size,
-            key_bound=self.codec.key_bound,
-        )
+        self._keys = SortedKeyList(block_size=block_size)
 
     @property
     def depth(self) -> int:
@@ -717,11 +696,11 @@ class PrefixIndex:
         self._keys.remove(self.encode(t))
 
     def bulk_add(self, tuples: Iterable[HiddenTuple]) -> None:
-        """Index a batch of tuples with one backend merge."""
+        """Index a batch of tuples with one key-list merge."""
         self._keys.bulk_add([self.encode(t) for t in tuples])
 
     def bulk_remove(self, tuples: Iterable[HiddenTuple]) -> None:
-        """Unindex a batch of tuples with one backend merge."""
+        """Unindex a batch of tuples with one key-list merge."""
         self._keys.bulk_remove([self.encode(t) for t in tuples])
 
     def _batch_keys(self, batch: TupleBatch):
@@ -752,22 +731,15 @@ class PrefixIndex:
     def range_tids(self, prefix_values: Sequence[int]) -> np.ndarray:
         """Matching tids as an int64 vector — array-native ``iter_tids``.
 
-        One vectorized modulo when the backend hands back an int64 key
-        array (packed narrow schemas); the chunked limb reduction
+        One vectorized modulo when the key multiset hands back an int64
+        key array (a frozen narrow-schema run); the chunked limb reduction
         (:func:`~repro.hiddendb.backends.mod_many`) over a block-sliced
         key list otherwise — wide schemas exceed int64, but their keys
         never pay a per-key Python ``%`` (parity-tested against the
-        scalar loop).  Backends without
-        :meth:`~repro.hiddendb.backends.StorageBackend.range_keys` degrade
-        to ``iter_range``.
+        scalar loop).
         """
         lo, hi = self.prefix_range(prefix_values)
-        range_keys = getattr(self._keys, "range_keys", None)
-        if range_keys is not None:
-            keys = range_keys(lo, hi)
-        else:  # minimal custom engines: same contents, per-key cost
-            keys = list(self._keys.iter_range(lo, hi))
-        return mod_many(keys, self.codec.tid_span)
+        return mod_many(self._keys.range_keys(lo, hi), self.codec.tid_span)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -945,9 +917,8 @@ class TupleStore:
     ``("insert", tuple)`` / ``("delete", tuple)`` events, which is how the
     experiment harness maintains exact ground truth in O(1) per mutation.
 
-    All prefix indexes share one storage backend, chosen at construction
-    (``backend=None`` picks the process-wide default).  Inside a
-    :meth:`bulk` block, per-mutation index maintenance is deferred and the
+    Every prefix index keeps its keys in a :class:`SortedKeyList`.  Inside
+    a :meth:`bulk` block, per-mutation index maintenance is deferred and the
     buffered batch is applied with one ``bulk_add``/``bulk_remove`` per
     index when the block exits; the tuple heap and the listener stream stay
     exact throughout, so only *index reads* must wait for the block to end.
@@ -972,15 +943,8 @@ class TupleStore:
     round barrier (``run_round`` vs ``apply_updates``) for exactly this.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str | None = None,
-    ):
+    def __init__(self, schema: Schema):
         self.schema = schema
-        self.backend_name = resolve_backend(backend)
-        self._block_size = block_size
         self._tuples: dict[int, HiddenTuple] = {}
         self._blocks: list[_HeapBlock] = []
         self._block_los: list[int] = []  # sorted tid_lo per block
@@ -1242,12 +1206,7 @@ class TupleStore:
             # A new index built mid-bulk must not re-apply the buffered
             # mutations its backfill already covers.
             self._flush_pending()
-            index = PrefixIndex(
-                self.schema,
-                key,
-                block_size=self._block_size,
-                backend=self.backend_name,
-            )
+            index = PrefixIndex(self.schema, key)
             for block in self._blocks:
                 index.bulk_add_batch(block.alive_batch())
             index.bulk_add(self._tuples.values())
@@ -1450,8 +1409,8 @@ class TupleStore:
         epoch (:class:`~repro.hiddendb.epoch.StoreEpoch`).
 
         Heap blocks become copy-on-write clones, the scalar dict remainder
-        copies shallowly, and every prefix index freezes its backend (zero
-        copy on the packing engines).  Callers must serialize the publish
+        copies shallowly, and every prefix index freezes its key list.
+        Callers must serialize the publish
         against writers, and must not publish mid-:meth:`bulk` (deferred
         index maintenance would be invisible to the snapshot); the engine's
         write lock provides both.  The returned epoch then serves reads

@@ -10,7 +10,7 @@ One table, checked in two directions:
   from the code in either direction.
 
 Extensions register their own names through :func:`register` before
-creating handles (mirroring the estimator/backend registries).
+creating handles (mirroring the estimator registry).
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ CATALOG: dict[str, tuple[str, str]] = {
         "Top-k interface queries served, by result status "
         "(underflow/valid/overflow).",
     ),
-    # --- storage backends ------------------------------------------------
-    "repro_rank_cache_hits_total": (
-        "counter", "Rank-cache hits, by storage backend.",
-    ),
-    "repro_rank_cache_misses_total": (
-        "counter", "Rank-cache misses (full probes), by storage backend.",
-    ),
-    "repro_backend_compactions_total": (
-        "counter", "Buffer-into-run compactions, by storage backend.",
-    ),
-    "repro_bulk_merge_rows": (
-        "histogram", "Rows per bulk index merge, by op (add/remove).",
-    ),
     # --- epoch lifecycle (HTAP overlap) ----------------------------------
     "repro_epoch_publish_seconds": (
         "histogram", "Publish-flip latency: freezing the live store into "
@@ -54,8 +41,8 @@ CATALOG: dict[str, tuple[str, str]] = {
         "gauge", "Reader scopes currently pinned to a published epoch.",
     ),
     "repro_epoch_refreeze_reused_total": (
-        "counter", "Backend freeze() calls satisfied by reusing the "
-        "previous frozen view unchanged (no buffer re-clone), by backend.",
+        "counter", "Key-list freeze() calls satisfied by reusing the "
+        "previous frozen view unchanged (no content copy), by backend.",
     ),
     # --- engine ----------------------------------------------------------
     "repro_rounds_total": (

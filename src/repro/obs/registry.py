@@ -13,8 +13,7 @@ Design constraints (the tentpole contract):
   Python object.
 * **Thread-safe by GIL-atomicity.**  ``Counter.inc`` / ``Gauge.set`` are
   single ``+=`` / ``=`` operations on instance attributes — coalesced
-  under the GIL exactly like the storage engines' reader-concurrency
-  contract.  Histograms tolerate the same benign interleavings; the
+  under the GIL.  Histograms tolerate the same benign interleavings; the
   registry lock only guards handle creation and snapshot assembly.
 * **One registry forever.**  :data:`OBS` is created at import and never
   replaced — ``enable()`` / ``disable()`` / ``reset()`` mutate it in
@@ -23,7 +22,7 @@ Design constraints (the tentpole contract):
   with the registry on or off.
 
 Metric names must be cataloged (:mod:`repro.obs.catalog`); labels are
-low-cardinality dicts (``{"backend": "packed"}``) keyed Prometheus-style.
+low-cardinality dicts (``{"status": "overflow"}``) keyed Prometheus-style.
 """
 
 from __future__ import annotations
@@ -274,93 +273,24 @@ class MetricsRegistry:
             },
         })
 
-    def delta(self, since: Mapping | None) -> dict:
-        """Per-window metric deltas against a prior :meth:`snapshot`.
-
-        Rate-based consumers need *windowed* activity — queries per
-        round, churn per flip — not lifetime totals.  Pass the snapshot
-        taken at the start of the window; the result has the same shape
-        as :meth:`snapshot` with every counter value, histogram count/sum
-        and cumulative bucket replaced by its increase over the window.
-        Gauges are levels, not totals, so they carry their current value
-        unchanged.  Metrics that did not exist at window start delta
-        against zero; ``since=None`` is an empty baseline
-        (delta == snapshot).
-
-        Concurrency: both endpoints are assembled under the registry
-        lock, and counter/histogram writes are GIL-coalesced single
-        operations, so a delta taken while other threads increment is
-        always a *consistent prefix* — never negative, never torn.
-        """
-        current = self.snapshot()
-        if not since:
-            return current
-
-        def _index(entries):
-            return {
-                (entry["name"], tuple(sorted(entry["labels"].items()))):
-                entry
-                for entry in entries
-            }
-
-        base_counters = _index(since.get("counters", ()))
-        base_histograms = _index(since.get("histograms", ()))
-        for entry in current["counters"]:
-            key = (entry["name"], tuple(sorted(entry["labels"].items())))
-            base = base_counters.get(key)
-            if base is not None:
-                entry["value"] -= base["value"]
-        for entry in current["histograms"]:
-            key = (entry["name"], tuple(sorted(entry["labels"].items())))
-            base = base_histograms.get(key)
-            if base is None:
-                continue
-            entry["count"] -= base["count"]
-            base_buckets = {
-                bound: cumulative
-                for bound, cumulative in base.get("buckets", ())
-            }
-            entry["buckets"] = [
-                [bound, cumulative - base_buckets.get(bound, 0)]
-                for bound, cumulative in entry["buckets"]
-            ]
-            if isinstance(entry["sum"], (int, float)) and isinstance(
-                base["sum"], (int, float)
-            ):
-                entry["sum"] = _json_float(entry["sum"] - base["sum"])
-        return current
-
     def summary(self) -> dict:
-        """Derived headline numbers (query mix, cache hit rate, flip
-        latency) for bench drops and quick health checks."""
+        """Derived headline numbers (query mix, flip latency) for bench
+        drops and quick health checks."""
         queries: dict[str, int] = {}
-        hits = misses = 0
         publish_count, publish_total = 0, 0.0
         for metric in self._sorted_metrics():
             if isinstance(metric, Counter):
                 if metric.name == "repro_queries_total":
                     status = dict(metric.labels).get("status", "unknown")
                     queries[status] = queries.get(status, 0) + metric.value
-                elif metric.name == "repro_rank_cache_hits_total":
-                    hits += metric.value
-                elif metric.name == "repro_rank_cache_misses_total":
-                    misses += metric.value
             elif (
                 isinstance(metric, Histogram)
                 and metric.name == "repro_epoch_publish_seconds"
             ):
                 publish_count += metric.count
                 publish_total += metric.total
-        lookups = hits + misses
         return {
             "queries": {**queries, "total": sum(queries.values())},
-            "rank_cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": (
-                    round(hits / lookups, 6) if lookups else None
-                ),
-            },
             "publish_flip": {
                 "count": publish_count,
                 "total_seconds": round(publish_total, 6),

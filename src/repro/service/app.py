@@ -32,6 +32,7 @@ from typing import Callable
 from ..api.engine import Engine
 from ..core.estimators.base import RoundReport
 from ..errors import AdmissionError, ExperimentError, wire_error
+from ..hiddendb.store import INDEX_ENGINE
 from ..obs import OBS
 from .governor import ACTION_SHRINK, Admission, BudgetGovernor
 from .protocol import (
@@ -296,7 +297,7 @@ class ServiceApp:
         return HealthResponse(
             status="ok",
             round_index=round_index,
-            backend=self.engine.backend,
+            backend=INDEX_ENGINE,
             tuples=tuples,
             tasks=list(self.engine.tasks()),
         )

@@ -9,7 +9,7 @@ of :mod:`repro.service.http` until SIGINT/SIGTERM or ``POST
 
 Example::
 
-    repro-serve --port 8080 --rows 50000 --backend packed \\
+    repro-serve --port 8080 --rows 50000 \\
         --budget-per-round 200 --queries-per-window 2000 --window-rounds 8
 """
 
@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--seed", type=int, default=0)
 
     engine = parser.add_argument_group("engine")
-    engine.add_argument("--backend", default=None,
-                        help="storage backend (blocked/packed)")
     engine.add_argument(
         "--overlap", action="store_true",
         help="HTAP epoch split: estimators read the published immutable "
@@ -164,7 +162,6 @@ def build_app(args: argparse.Namespace) -> ServiceApp:
         seed=args.seed,
     )
     config = EngineConfig(
-        backend=args.backend,
         k=args.k,
         budget_per_round=args.budget_per_round,
         seed=args.seed,
@@ -187,7 +184,7 @@ async def _serve(app: ServiceApp, host: str, port: int) -> None:
             loop.add_signal_handler(signum, server.request_shutdown)
     print(
         f"repro-serve: listening on http://{server.host}:{server.port} "
-        f"(backend={app.engine.backend}, n={len(app.engine.db)}, "
+        f"(n={len(app.engine.db)}, "
         f"k={app.engine.config.k}, G={app.engine.config.budget_per_round})",
         flush=True,
     )

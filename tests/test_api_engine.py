@@ -33,7 +33,7 @@ from repro.errors import EstimationError, ExperimentError
 from repro.experiments.metrics import ExperimentResult
 
 
-def _build_env(backend=None, seed=3):
+def _build_env(seed=3):
     source = skewed_source(
         [8, 10, 12, 6, 4],
         exponent=0.4,
@@ -41,7 +41,7 @@ def _build_env(backend=None, seed=3):
         measure_sampler=lambda rng: (rng.uniform(1.0, 100.0),),
         seed=seed,
     )
-    db = HiddenDatabase(source.schema, backend=backend)
+    db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(1200))
     schedule = FreshTupleSchedule(
         source, inserts_per_round=30, delete_fraction=0.01
@@ -290,10 +290,7 @@ class TestLifecycle:
 
     def test_engine_builds_its_own_database(self):
         source = skewed_source([12, 12, 12], exponent=0.3, seed=1)
-        engine = Engine(
-            EngineConfig(backend="packed", k=5), schema=source.schema
-        )
-        assert engine.backend == "packed"
+        engine = Engine(EngineConfig(k=5), schema=source.schema)
         assert engine.load(source.batch_columns(200)) == 200
         assert len(engine.db) == 200
 
@@ -516,12 +513,10 @@ class TestConfig:
             EngineConfig(seed_policy="mystery")
         with pytest.raises(ExperimentError):
             EngineConfig(data_plane="quantum")
-        with pytest.raises(ExperimentError):
-            EngineConfig(backend="no-such-backend")
 
     def test_round_trip_and_json(self):
         config = EngineConfig(
-            backend="packed", data_plane="scalar", k=7,
+            data_plane="scalar", k=7,
             budget_per_round=42, seed=3, seed_policy="shared",
         )
         payload = json.loads(json.dumps(config.to_dict(), allow_nan=False))
@@ -546,16 +541,13 @@ class TestConfig:
             config.replace(k=0)
 
     def test_resolution_defers_to_process_defaults(self):
-        from repro.hiddendb.backends import using_backend
         from repro.hiddendb.store import using_data_plane
 
         config = EngineConfig()
-        with using_backend("packed"), using_data_plane("scalar"):
-            assert config.resolved_backend() == "packed"
+        with using_data_plane("scalar"):
             assert config.resolved_data_plane() == "scalar"
-        pinned = EngineConfig(backend="blocked", data_plane="vectorized")
-        with using_backend("packed"), using_data_plane("scalar"):
-            assert pinned.resolved_backend() == "blocked"
+        pinned = EngineConfig(data_plane="vectorized")
+        with using_data_plane("scalar"):
             assert pinned.resolved_data_plane() == "vectorized"
 
     def test_task_validation(self):

@@ -10,7 +10,7 @@ Two oracles:
 
 Both must produce exactly the same estimate stream as the
 :class:`repro.api.Engine` / config-routed :class:`Experiment`, on every
-(backend, data plane) combination.
+data plane.
 """
 
 import math
@@ -23,11 +23,11 @@ from repro.api import Engine, EngineConfig, EstimationTask, resolve_estimator
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.experiments import EstimatorFactory, Experiment
-from repro.hiddendb.backends import using_backend
 from repro.hiddendb.store import using_data_plane
 
-BACKENDS = ("blocked", "packed")
 PLANES = ("scalar", "vectorized")
+# Case ids are kept stable across releases so per-case results compare.
+PLANE_IDS = ("scalar-blocked", "vectorized-blocked")
 
 K = 15
 BUDGET = 60
@@ -35,7 +35,7 @@ ROUNDS = 3
 SEED = 11
 
 
-def _build_env(backend, seed=3):
+def _build_env(seed=3):
     source = skewed_source(
         [8, 10, 12, 6, 4],
         exponent=0.4,
@@ -43,7 +43,7 @@ def _build_env(backend, seed=3):
         measure_sampler=lambda rng: (rng.uniform(1.0, 100.0),),
         seed=seed,
     )
-    db = HiddenDatabase(source.schema, backend=backend)
+    db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(1500))
     schedule = FreshTupleSchedule(
         source, inserts_per_round=40, delete_fraction=0.01
@@ -75,13 +75,12 @@ def _assert_streams_equal(old, new):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize("plane", PLANES, ids=PLANE_IDS)
 @pytest.mark.parametrize("estimator", ("RESTART", "REISSUE", "RS"))
-def test_manual_legacy_path_matches_engine(backend, plane, estimator):
+def test_manual_legacy_path_matches_engine(plane, estimator):
     # Legacy: hand-built database, interface, estimator class, churn loop.
     with using_data_plane(plane):
-        db, schedule = _build_env(backend)
+        db, schedule = _build_env()
         interface = TopKInterface(db, K)
         legacy = resolve_estimator(estimator)(
             interface, _specs(db.schema), budget_per_round=BUDGET, seed=SEED
@@ -96,7 +95,7 @@ def test_manual_legacy_path_matches_engine(backend, plane, estimator):
 
     # Facade: same environment rebuilt identically, driven by an Engine.
     with using_data_plane(plane):
-        db, schedule = _build_env(backend)
+        db, schedule = _build_env()
     engine = Engine(
         EngineConfig(k=K, budget_per_round=BUDGET, data_plane=plane), db=db
     )
@@ -114,14 +113,13 @@ def test_manual_legacy_path_matches_engine(backend, plane, estimator):
     _assert_streams_equal(old_stream, new_stream)
 
 
-def _legacy_runner_estimates(backend, trials=2):
+def _legacy_runner_estimates(trials=2):
     """Verbatim port of the pre-facade Experiment._run_trial_round loop."""
     factories = ["RESTART", "REISSUE", "RS"]
     streams = {name: [] for name in factories}
     for trial in range(trials):
         seed = 1000 * trial
-        with using_backend(backend):
-            db, schedule = _build_env(backend, seed=seed)
+        db, schedule = _build_env(seed=seed)
         specs = _specs(db.schema)
         interface = TopKInterface(db, K)
         estimators = {
@@ -141,15 +139,14 @@ def _legacy_runner_estimates(backend, trials=2):
     return streams
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("plane", PLANES)
-def test_experiment_runner_matches_legacy_loop(backend, plane):
+@pytest.mark.parametrize("plane", PLANES, ids=PLANE_IDS)
+def test_experiment_runner_matches_legacy_loop(plane):
     with using_data_plane(plane):
-        old = _legacy_runner_estimates(backend)
+        old = _legacy_runner_estimates()
 
     experiment = Experiment(
         "parity",
-        lambda seed: _build_env(backend, seed=seed),
+        lambda seed: _build_env(seed=seed),
         _specs,
         estimators=[
             EstimatorFactory("RESTART", "RESTART"),
@@ -158,9 +155,7 @@ def test_experiment_runner_matches_legacy_loop(backend, plane):
         ],
         rounds=ROUNDS,
         trials=2,
-        config=EngineConfig(
-            backend=backend, data_plane=plane, k=K, budget_per_round=BUDGET
-        ),
+        config=EngineConfig(data_plane=plane, k=K, budget_per_round=BUDGET),
     )
     result = experiment.run()
     for name, old_stream in old.items():
@@ -172,25 +167,24 @@ def test_experiment_runner_matches_legacy_loop(backend, plane):
         _assert_streams_equal(old_stream, new_stream)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_legacy_kwargs_and_config_spellings_agree(backend):
-    """`Experiment(k=..., backend=...)` == `Experiment(config=...)`."""
+@pytest.mark.parametrize("rounds", [2], ids=["blocked"])
+def test_legacy_kwargs_and_config_spellings_agree(rounds):
+    """`Experiment(k=..., budget_per_round=...)` ==
+    `Experiment(config=...)`."""
 
     def run(**kwargs):
         return Experiment(
             "spelling",
-            lambda seed: _build_env(backend, seed=seed),
+            _build_env,
             _specs,
             estimators=[EstimatorFactory("RS", "RS")],
-            rounds=2,
+            rounds=rounds,
             trials=1,
             **kwargs,
         ).run()
 
-    via_kwargs = run(k=K, budget_per_round=BUDGET, backend=backend)
-    via_config = run(
-        config=EngineConfig(backend=backend, k=K, budget_per_round=BUDGET)
-    )
+    via_kwargs = run(k=K, budget_per_round=BUDGET)
+    via_config = run(config=EngineConfig(k=K, budget_per_round=BUDGET))
     for trial_old, trial_new in zip(
         via_kwargs.estimates["RS"], via_config.estimates["RS"]
     ):
@@ -204,7 +198,7 @@ def test_experiment_honours_config_seed():
     def run(**kwargs):
         return Experiment(
             "seeding",
-            lambda seed: _build_env("blocked", seed=seed),
+            _build_env,
             _specs,
             estimators=[EstimatorFactory("RS", "RS")],
             rounds=2,

@@ -3,7 +3,7 @@
 The contracts under test (the epoch split):
 
 * ``EngineConfig(overlap=True)`` is **bit-identical** to sequential mode
-  on every backend × data plane — estimators read the published
+  on every data plane — estimators read the published
   :class:`~repro.hiddendb.epoch.StoreEpoch` and churn lands on the live
   store, becoming visible exactly at the next publish flip.
 * Estimator queries run *concurrently* with ``apply_round`` churn, and
@@ -28,8 +28,9 @@ from repro.data.synthetic import skewed_source
 from repro.errors import ExperimentError
 from repro.hiddendb import ConjunctiveQuery, TopKInterface
 from repro.hiddendb.database import HiddenDatabase, reading_epoch
-from repro.hiddendb.epoch import FrozenRun, StoreEpoch, freeze_backend
+from repro.hiddendb.epoch import FrozenRun, StoreEpoch
 from repro.hiddendb.schema import boolean_schema
+from repro.hiddendb.store import SortedKeyList
 
 ALGORITHMS = ("RESTART", "REISSUE", "RS")
 
@@ -41,7 +42,6 @@ def _fig_source(seed: int = 7):
 
 
 def _run_engine(
-    backend: str,
     overlap: bool,
     plane: str | None = None,
     rounds: int = 3,
@@ -50,7 +50,6 @@ def _run_engine(
     """One seeded multi-tenant churn run; returns every observable output."""
     source = _fig_source()
     config = EngineConfig(
-        backend=backend,
         data_plane=plane,
         overlap=overlap,
         k=10,
@@ -85,14 +84,14 @@ def _run_engine(
 # ----------------------------------------------------------------------
 # Overlap mode is bit-identical to sequential, everywhere
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("plane", ["vectorized", "scalar"])
 # Case ids are kept stable across releases so per-case results compare.
 @pytest.mark.parametrize(
-    "backend", ["blocked", "packed"], ids=["blocked-None", "packed-None"],
+    "plane", ["vectorized", "scalar"],
+    ids=["blocked-None-vectorized", "blocked-None-scalar"],
 )
-def test_overlap_bit_identical_to_sequential(backend, plane):
-    sequential = _run_engine(backend, False, plane)
-    overlapped = _run_engine(backend, True, plane)
+def test_overlap_bit_identical_to_sequential(plane):
+    sequential = _run_engine(False, plane)
+    overlapped = _run_engine(True, plane)
     assert sequential == overlapped
 
 
@@ -201,8 +200,8 @@ def test_deferred_pages_survive_post_publish_churn():
 # ----------------------------------------------------------------------
 # Epoch immutability + copy-on-write isolation
 # ----------------------------------------------------------------------
-def _tiny_db(backend=None):
-    db = HiddenDatabase(boolean_schema(3), backend=backend)
+def _tiny_db():
+    db = HiddenDatabase(boolean_schema(3))
     rng = random.Random(9)
     db.insert_many([
         (tuple(rng.randrange(2) for _ in range(3)), (float(i),))
@@ -248,12 +247,9 @@ def test_epoch_is_isolated_from_live_churn():
 
 
 # Case ids are kept stable across releases so per-case results compare.
-@pytest.mark.parametrize(
-    "backend", ["blocked", "packed"],
-    ids=["blocked-options0", "packed-options1"],
-)
-def test_epoch_index_queries_match_live_at_publish(backend):
-    db = _tiny_db(backend=backend)
+@pytest.mark.parametrize("inserts", [10], ids=["blocked-options0"])
+def test_epoch_index_queries_match_live_at_publish(inserts):
+    db = _tiny_db()
     db.store.ensure_index((0, 1, 2))
     live_index = db.store.ensure_index((0, 1, 2))
     expected = {
@@ -261,7 +257,7 @@ def test_epoch_index_queries_match_live_at_publish(backend):
         for prefix in ((), (0,), (1,), (0, 1), (1, 0, 1))
     }
     epoch = db.publish_epoch()
-    for _ in range(10):
+    for _ in range(inserts):
         db.insert((0, 0, 0), (1.0,))
     frozen_index = epoch.ensure_index((0, 1, 2))
     for prefix, tids in expected.items():
@@ -285,24 +281,19 @@ def test_round_index_pins_with_the_epoch():
 
 
 def test_freeze_backend_views_are_stable():
-    from repro.hiddendb.backends import make_backend
-
-    for name in ("blocked", "packed"):
-        backend = make_backend(name, key_bound=2**20)
-        keys = list(range(0, 3000, 7))
-        backend.bulk_add(keys)
-        frozen = freeze_backend(backend)
-        assert len(frozen) == len(keys)
-        backend.bulk_add(range(1, 100, 7))
-        assert len(frozen) == len(keys)
-        assert list(frozen.range_keys(0, 100)) == [
-            k for k in keys if k < 100
-        ]
-        assert frozen.rank(1400) == sum(1 for k in keys if k < 1400)
-        assert 14 in frozen and 15 not in frozen
-        frozen.check_invariants()
-        with pytest.raises(ExperimentError):
-            frozen.add(5)
+    live = SortedKeyList()
+    keys = list(range(0, 3000, 7))
+    live.bulk_add(keys)
+    frozen = live.freeze()
+    assert len(frozen) == len(keys)
+    live.bulk_add(range(1, 100, 7))
+    assert len(frozen) == len(keys)
+    assert list(frozen.range_keys(0, 100)) == [k for k in keys if k < 100]
+    assert frozen.rank(1400) == sum(1 for k in keys if k < 1400)
+    assert 14 in frozen and 15 not in frozen
+    frozen.check_invariants()
+    with pytest.raises(ExperimentError):
+        frozen.add(5)
 
 
 def test_frozen_run_wide_keys_and_int64_edge():

@@ -92,19 +92,23 @@ def test_get_or_create_returns_same_handle():
 
 
 def test_histogram_bucket_defaults_by_suffix():
-    registry = MetricsRegistry()
-    seconds = registry.histogram("repro_round_seconds")
-    rows = registry.histogram("repro_bulk_merge_rows", {"op": "add"})
-    assert seconds.bounds == TIME_BUCKETS
-    assert rows.bounds == SIZE_BUCKETS
-    rows.observe(3.0)
-    rows.observe(1000.0)
-    # bisect places 3.0 above le=1, 1000 above le=256.
-    assert rows.count == 2
-    assert rows.total == 1003.0
-    assert rows.counts[1] == 1  # (1, 4]
-    assert sum(rows.counts) == 2
-    assert rows.mean == 501.5
+    register_metric("repro_test_ext_rows", "histogram", "Rows per batch.")
+    try:
+        registry = MetricsRegistry()
+        seconds = registry.histogram("repro_round_seconds")
+        rows = registry.histogram("repro_test_ext_rows", {"op": "add"})
+        assert seconds.bounds == TIME_BUCKETS
+        assert rows.bounds == SIZE_BUCKETS
+        rows.observe(3.0)
+        rows.observe(1000.0)
+        # bisect places 3.0 above le=1, 1000 above le=256.
+        assert rows.count == 2
+        assert rows.total == 1003.0
+        assert rows.counts[1] == 1  # (1, 4]
+        assert sum(rows.counts) == 2
+        assert rows.mean == 501.5
+    finally:
+        CATALOG.pop("repro_test_ext_rows")
 
 
 def test_reset_zeroes_in_place_and_handles_stay_valid():
@@ -204,16 +208,9 @@ def test_summary_headlines():
     registry = MetricsRegistry()
     registry.counter("repro_queries_total", {"status": "valid"}).inc(6)
     registry.counter("repro_queries_total", {"status": "overflow"}).inc(2)
-    registry.counter(
-        "repro_rank_cache_hits_total", {"backend": "packed"}
-    ).inc(9)
-    registry.counter(
-        "repro_rank_cache_misses_total", {"backend": "packed"}
-    ).inc(1)
     registry.histogram("repro_epoch_publish_seconds").observe(0.25)
     summary = registry.summary()
     assert summary["queries"] == {"overflow": 2, "valid": 6, "total": 8}
-    assert summary["rank_cache"]["hit_rate"] == 0.9
     assert summary["publish_flip"]["count"] == 1
     assert summary["publish_flip"]["mean_seconds"] == 0.25
 
@@ -343,106 +340,4 @@ def test_interface_stats_concurrent_records_and_merges():
     assert (
         total["underflow"] + total["valid"] + total["overflow"]
         == total["queries"]
-    )
-
-
-# ----------------------------------------------------------------------
-# Windowed deltas (MetricsRegistry.delta)
-# ----------------------------------------------------------------------
-def test_delta_windows_counters_histograms_not_gauges():
-    registry = MetricsRegistry()
-    queries = registry.counter("repro_queries_total", {"status": "valid"})
-    wall = registry.histogram("repro_round_seconds")
-    level = registry.gauge("repro_epoch_pinned_readers")
-    queries.inc(5)
-    wall.observe(0.02)
-    level.set(2)
-    window_start = registry.snapshot()
-    queries.inc(3)
-    wall.observe(0.04)
-    wall.observe(10.0)
-    level.set(3)
-    # A metric born *inside* the window deltas against zero.
-    registry.counter("repro_queries_total", {"status": "overflow"}).inc(2)
-
-    delta = registry.delta(window_start)
-    json.dumps(delta, allow_nan=False)  # same strict-JSON contract
-    counters = {
-        entry["labels"]["status"]: entry["value"]
-        for entry in delta["counters"]
-        if entry["name"] == "repro_queries_total"
-    }
-    assert counters == {"valid": 3, "overflow": 2}
-    [histogram] = [
-        entry for entry in delta["histograms"]
-        if entry["name"] == "repro_round_seconds"
-    ]
-    assert histogram["count"] == 2
-    assert histogram["sum"] == pytest.approx(10.04)
-    # Bucket increases are cumulative within the window and end at the
-    # windowed count.
-    cumulative = [count for _, count in histogram["buckets"]]
-    assert cumulative == sorted(cumulative)
-    assert cumulative[-1] == 2
-    # Gauges are levels, not totals: current value, not a difference.
-    [gauge] = [
-        entry for entry in delta["gauges"]
-        if entry["name"] == "repro_epoch_pinned_readers"
-    ]
-    assert gauge["value"] == 3
-
-
-def test_delta_against_empty_baseline_is_snapshot():
-    registry = MetricsRegistry()
-    registry.counter("repro_queries_total", {"status": "valid"}).inc(4)
-    assert registry.delta(None) == registry.snapshot()
-    assert registry.delta({}) == registry.snapshot()
-
-
-def test_delta_consistent_under_concurrent_increments():
-    """A delta taken mid-increment is a consistent prefix: never
-    negative, never torn, and successive windows sum to the total."""
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_queries_total", {"status": "valid"})
-    wall = registry.histogram("repro_round_seconds")
-    per_thread, threads = 4000, 6
-
-    def pound():
-        for i in range(per_thread):
-            counter.inc()
-            wall.observe(0.001 * (i % 7))
-
-    workers = [threading.Thread(target=pound) for _ in range(threads)]
-    window_start = registry.snapshot()
-    for worker in workers:
-        worker.start()
-    try:
-        last_value = 0
-        while any(worker.is_alive() for worker in workers):
-            delta = registry.delta(window_start)
-            [entry] = delta["counters"]
-            assert entry["value"] >= last_value >= 0
-            last_value = entry["value"]  # same base => monotone windows
-            [histogram] = delta["histograms"]
-            cumulative = [count for _, count in histogram["buckets"]]
-            assert all(count >= 0 for count in cumulative)
-            assert cumulative == sorted(cumulative)
-            assert cumulative[-1] == histogram["count"] >= 0
-    finally:
-        for worker in workers:
-            worker.join()
-    # Quiesced: the full-run window accounts for every increment...
-    total = registry.delta(window_start)
-    assert total["counters"][0]["value"] == per_thread * threads
-    assert total["histograms"][0]["count"] == per_thread * threads
-    # ...and adjacent windows partition exactly (no loss, no double
-    # count): a fresh window sees only what landed after its start.
-    mid = registry.snapshot()
-    counter.inc(10)
-    wall.observe(1.0)
-    tail = registry.delta(mid)
-    assert tail["counters"][0]["value"] == 10
-    assert tail["histograms"][0]["count"] == 1
-    assert registry.delta(window_start)["counters"][0]["value"] == (
-        per_thread * threads + 10
     )

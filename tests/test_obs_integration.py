@@ -1,7 +1,7 @@
 """Integration tests for the observability plane across the stack.
 
 The tentpole acceptance criteria: estimates are **bit-identical** with
-observability on vs off (every backend × data plane), ``Engine.metrics()``
+observability on vs off (every data plane), ``Engine.metrics()``
 is a stamped strict-JSON document, the config precedence chain resolves as
 documented, the service embeds the snapshot in ``/v1/telemetry`` and
 serves Prometheus text at ``/v1/metrics``.
@@ -38,22 +38,17 @@ def _pristine_obs():
     set_default_observability(previous)
 
 
-def _run_estimates(observability: bool, backend=None, plane=None,
+def _run_estimates(observability: bool, plane=None,
                    rounds: int = 3) -> list[dict]:
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
     config = EngineConfig(
-        backend=backend,
         data_plane=plane,
         k=8,
         budget_per_round=40,
         seed=3,
         observability=observability,
     )
-    db = HiddenDatabase(
-        source.schema,
-        backend=config.backend,
-        block_size=config.block_size,
-    )
+    db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(600))
     engine = Engine(config, db=db)
     engine.submit(EstimationTask("t", [count_all()], "RS"))
@@ -67,13 +62,16 @@ def _run_estimates(observability: bool, backend=None, plane=None,
 # ----------------------------------------------------------------------
 # Bit identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["blocked", "packed"])
-@pytest.mark.parametrize("plane", ["vectorized", "scalar"])
-def test_estimates_bit_identical_on_vs_off(backend, plane):
-    off = _run_estimates(False, backend=backend, plane=plane)
+# Case ids are kept stable across releases so per-case results compare.
+@pytest.mark.parametrize(
+    "plane", ["vectorized", "scalar"],
+    ids=["vectorized-blocked", "scalar-blocked"],
+)
+def test_estimates_bit_identical_on_vs_off(plane):
+    off = _run_estimates(False, plane=plane)
     OBS.reset()
     OBS.disable()
-    on = _run_estimates(True, backend=backend, plane=plane)
+    on = _run_estimates(True, plane=plane)
     assert off == on
 
 
@@ -81,7 +79,7 @@ def test_estimates_bit_identical_on_vs_off(backend, plane):
 # Engine.metrics()
 # ----------------------------------------------------------------------
 def test_engine_metrics_stamped_strict_json():
-    engine = _engine(backend="packed")
+    engine = _engine()
     OBS.enable()
     engine.submit(EstimationTask("t", [count_all()], "RS"))
     engine.run_round()
@@ -89,7 +87,7 @@ def test_engine_metrics_stamped_strict_json():
     json.dumps(metrics, allow_nan=False)  # strict JSON, never raises
     assert metrics["schema_version"] >= 1
     assert metrics["enabled"] is True
-    assert metrics["backend"] == "packed"
+    assert metrics["backend"] == "blocked"
     assert metrics["tasks"]["t"]["rounds"] == 1
     assert metrics["tasks"]["t"]["queries_total"] == 40
     interface = metrics["tasks"]["t"]["interface"]
@@ -105,7 +103,7 @@ def test_engine_metrics_stamped_strict_json():
 
 
 def test_engine_metrics_disabled_still_reports_tasks():
-    engine = _engine(backend="packed")
+    engine = _engine()
     engine.submit(EstimationTask("t", [count_all()], "RS"))
     engine.run_round()
     metrics = engine.metrics()
@@ -142,7 +140,7 @@ def test_observability_must_be_bool_or_none():
 
 
 def test_engine_enables_but_never_disables():
-    _engine(backend="packed")  # observability=None resolves off
+    _engine()  # observability=None resolves off
     assert OBS.enabled is False
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
     config = EngineConfig(k=8, budget_per_round=40, seed=3,
@@ -169,7 +167,7 @@ def test_config_apply_scopes_registry():
 def test_telemetry_embeds_metrics_and_v1_metrics_scrapes():
     OBS.enable()
     app = ServiceApp(
-        _engine(backend="packed"),
+        _engine(),
         BudgetGovernor(GovernorConfig(queries_per_window=500)),
     )
     with _Service(app) as client:

@@ -23,13 +23,12 @@ from repro.data.synthetic import skewed_source
 def _engine(report_log_limit: int) -> Engine:
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
     config = EngineConfig(
-        backend="packed",
         k=8,
         budget_per_round=10,
         seed=3,
         report_log_limit=report_log_limit,
     )
-    db = HiddenDatabase(source.schema, backend=config.backend)
+    db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(400))
     engine = Engine(config, db=db)
     engine.submit(EstimationTask("t", [count_all()], "RS"))

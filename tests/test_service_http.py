@@ -3,7 +3,7 @@
 The headline acceptance criterion of the service PR: estimates obtained
 through the HTTP service are **bit-identical** to driving the
 :class:`~repro.api.Engine` directly with the same config — on every
-backend × data plane.  Around it: the SSE stream
+data plane.  Around it: the SSE stream
 delivers completed rounds while later rounds still execute, observers
 respond during a long round (the PR 5 lock-narrowing contract carried
 through the transport), governor degradation is visible in outcomes and
@@ -57,20 +57,15 @@ def _source(seed: int = 3):
     )
 
 
-def _engine(backend=None, plane=None, n=600, budget=40):
+def _engine(plane=None, n=600, budget=40):
     source = _source()
     config = EngineConfig(
-        backend=backend,
         data_plane=plane,
         k=8,
         budget_per_round=budget,
         seed=3,
     )
-    db = HiddenDatabase(
-        source.schema,
-        backend=config.backend,
-        block_size=config.block_size,
-    )
+    db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(n))
     return Engine(config, db=db)
 
@@ -145,8 +140,8 @@ TENANTS = (("alpha", "RS", 30), ("beta", "REISSUE", 40),
            ("gamma", "RESTART", 20))
 
 
-def _direct_reports(backend, plane, rounds):
-    engine = _engine(backend=backend, plane=plane)
+def _direct_reports(plane, rounds):
+    engine = _engine(plane=plane)
     specs = [count_all(), sum_measure(engine.db.schema, "price")]
     for name, estimator, budget in TENANTS:
         engine.submit(EstimationTask(name, specs, estimator, budget=budget))
@@ -158,15 +153,15 @@ def _direct_reports(backend, plane, rounds):
     return per_round
 
 
-@pytest.mark.parametrize("plane", ["vectorized", "scalar"])
 # Case ids are kept stable across releases so per-case results compare.
 @pytest.mark.parametrize(
-    "backend", ["blocked", "packed"], ids=["blocked-None", "packed-None"],
+    "plane", ["vectorized", "scalar"],
+    ids=["blocked-None-vectorized", "blocked-None-scalar"],
 )
-def test_http_estimates_bit_identical_to_direct_engine(backend, plane):
+def test_http_estimates_bit_identical_to_direct_engine(plane):
     rounds = 2
-    direct = _direct_reports(backend, plane, rounds)
-    app = ServiceApp(_engine(backend=backend, plane=plane))
+    direct = _direct_reports(plane, rounds)
+    app = ServiceApp(_engine(plane=plane))
     wire_specs = [{"kind": "count"},
                   {"kind": "sum", "measure": "price"}]
     with _Service(app) as client:

@@ -73,8 +73,7 @@ class TestRoundTrip:
 
     def test_engine_config(self):
         config = EngineConfig(
-            backend="packed", k=17, budget_per_round=99, seed=5,
-            report_log_limit=10,
+            k=17, budget_per_round=99, seed=5, report_log_limit=10,
         )
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
@@ -113,6 +112,15 @@ class TestForwardTolerance:
         }
         payload = {**EngineConfig(k=9).to_dict(), **retired}
         assert EngineConfig.from_dict(payload) == EngineConfig(k=9)
+        # A complete payload from a build that still had the index-engine
+        # knobs: ``backend`` and ``block_size`` decode and are ignored.
+        engine_knobs = {
+            "backend": "packed", "data_plane": None, "k": 9,
+            "budget_per_round": 300, "seed": 0, "seed_policy": "per-task",
+            "block_size": 512, "overlap": False, "report_log_limit": None,
+            "store_dir": None, "observability": None, "schema_version": 1,
+        }
+        assert EngineConfig.from_dict(engine_knobs) == EngineConfig(k=9)
 
     def test_round_report_ignores_unknown_keys(self):
         payload = _report().to_dict()
