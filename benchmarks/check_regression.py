@@ -2,7 +2,7 @@
 
 Usage::
 
-    python benchmarks/check_regression.py BENCH_fig12_blocked.json ...
+    python benchmarks/check_regression.py BENCH_fig12_vectorized.json ...
 
 Each ``BENCH_<label>.json`` is matched to the ``<label>`` entry of
 ``benchmarks/baselines.json`` and fails the run when its wall time exceeds

@@ -10,17 +10,11 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE``   — fraction of the paper's dataset size (default 0.05)
 * ``REPRO_BENCH_TRIALS``  — trials to average per experiment (default 2)
-* ``REPRO_DATA_PLANE``    — data plane for bulk loads *and* query
-  evaluation (``vectorized`` | ``scalar``; default ``vectorized``).  The
-  vectorized setting selects the columnar query plane (vector candidate
-  gather + ``np.argpartition`` page selection, deferred materialization);
-  ``scalar`` is the per-tuple reference path.  CI times both so the two
-  stay comparable across commits (the perf gate reads
-  ``benchmarks/baselines.json``).
 
 Each run additionally drops a machine-readable ``BENCH_<figure>.json``
-next to the working directory (wall time, data plane, query counts,
-series) so the performance trajectory can be compared across commits.
+next to the working directory (wall time, query counts, series) so the
+performance trajectory can be compared across commits (the perf gate
+reads ``benchmarks/baselines.json``).
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.hiddendb.store import get_data_plane
 from repro.obs import OBS
 
 #: Fraction of the paper's dataset sizes used by default.
@@ -73,7 +66,6 @@ def _write_bench_json(request, figure, wall_seconds: float) -> None:
         "name": stem,
         "test": request.node.name,
         "figure_id": getattr(figure, "figure_id", None),
-        "data_plane": get_data_plane(),
         "scale": BENCH_SCALE,
         "trials": BENCH_TRIALS,
         "wall_seconds": round(wall_seconds, 3),

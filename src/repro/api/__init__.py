@@ -18,12 +18,6 @@ from ..core.estimators.registry import (
     register_estimator,
     resolve_estimator,
 )
-from ..hiddendb.store import (
-    get_data_plane,
-    overriding_data_plane,
-    set_data_plane,
-    using_data_plane,
-)
 from ..obs import (
     OBS,
     get_default_observability,
@@ -47,13 +41,9 @@ __all__ = [
     "load_engine",
     "save_engine",
     "available_estimators",
-    "get_data_plane",
     "get_default_observability",
-    "overriding_data_plane",
     "register_estimator",
     "resolve_estimator",
-    "set_data_plane",
     "set_default_observability",
-    "using_data_plane",
     "using_observability",
 ]

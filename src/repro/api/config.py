@@ -1,23 +1,20 @@
 """One config object for every engine knob.
 
 Before :mod:`repro.api`, the knobs of a simulation were threaded ad hoc:
-a process-global data-plane switch, an interface ``k`` here, a
-``budget_per_round`` there, and environment variables
-(``REPRO_DATA_PLANE``) that could silently override program decisions.
-:class:`EngineConfig` consolidates them with one documented precedence
+an interface ``k`` here, a ``budget_per_round`` there, and environment
+variables that could silently override program decisions.
+:class:`EngineConfig` consolidates them.  The one knob that still has a
+process default, ``observability``, resolves in a documented precedence
 order, highest first:
 
 1. **Explicit config field** — a non-``None`` value on the
    :class:`EngineConfig` an :class:`~repro.api.engine.Engine` was built
-   with (or a per-task override on an
-   :class:`~repro.api.engine.EstimationTask`).
-2. **Process-wide programmatic default** — ``set_data_plane`` /
-   ``set_default_observability`` (or their scoped ``using_*`` twins).
-3. **Environment variable** — ``REPRO_DATA_PLANE`` for the data plane,
-   ``REPRO_OBS`` for the observability plane.  Environment variables are
-   *defaults only*: they never override levels 1–2 (see
-   ``tests/test_data_plane_precedence.py``).
-4. **Built-in default** — ``vectorized`` data plane, observability off.
+   with.
+2. **Process-wide programmatic default** — ``set_default_observability``
+   (or its scoped ``using_observability`` twin).
+3. **Environment variable** — ``REPRO_OBS``.  It is a *default only*: it
+   never overrides levels 1–2.
+4. **Built-in default** — observability off.
 """
 
 from __future__ import annotations
@@ -28,11 +25,6 @@ from typing import Iterator
 from zlib import crc32
 
 from ..errors import ExperimentError
-from ..hiddendb.store import (
-    DATA_PLANES,
-    get_data_plane,
-    overriding_data_plane,
-)
 from ..obs import get_default_observability, using_observability
 
 #: How per-task estimator seeds derive from :attr:`EngineConfig.seed` when
@@ -46,10 +38,6 @@ class EngineConfig:
 
     Parameters
     ----------
-    data_plane:
-        ``"vectorized"`` or ``"scalar"``; scoped around every engine
-        operation.  ``None`` defers to the process default
-        (``set_data_plane`` > ``REPRO_DATA_PLANE`` > ``"vectorized"``).
     k:
         Page size of the hidden database's top-k interface.
     budget_per_round:
@@ -95,7 +83,6 @@ class EngineConfig:
         *disables* a registry another engine enabled.
     """
 
-    data_plane: str | None = None
     k: int = 100
     budget_per_round: int = 300
     seed: int = 0
@@ -121,21 +108,10 @@ class EngineConfig:
                 f"unknown seed policy {self.seed_policy!r}; "
                 f"available: {', '.join(SEED_POLICIES)}"
             )
-        if self.data_plane is not None and self.data_plane not in DATA_PLANES:
-            raise ExperimentError(
-                f"unknown data plane {self.data_plane!r}; "
-                f"available: {', '.join(DATA_PLANES)}"
-            )
 
     # ------------------------------------------------------------------
     # Resolution against the process-wide defaults (precedence levels 2-4)
     # ------------------------------------------------------------------
-    def resolved_data_plane(self) -> str:
-        """The data plane this config selects, after the precedence order."""
-        return self.data_plane if self.data_plane is not None else (
-            get_data_plane()
-        )
-
     def resolved_observability(self) -> bool:
         """Whether this config enables the observability plane, after the
         precedence order (explicit field > ``set_default_observability``
@@ -146,18 +122,12 @@ class EngineConfig:
 
     @contextmanager
     def apply(self) -> Iterator["EngineConfig"]:
-        """Scope the active defaults to this config's explicit choices.
+        """Scope the process observability default to this config's choice.
 
-        ``None`` fields leave the corresponding default untouched, so
-        wrapping legacy code in ``config.apply()`` is always safe.  A
-        non-``None`` ``data_plane`` becomes a context-local override
-        (:func:`~repro.hiddendb.store.overriding_data_plane`): it governs
-        everything run inside the scope on this thread and is invisible
-        to concurrent threads — no process-global state is mutated.
+        ``None`` leaves the default untouched, so wrapping legacy code in
+        ``config.apply()`` is always safe.
         """
-        with overriding_data_plane(self.data_plane), using_observability(
-            self.observability
-        ):
+        with using_observability(self.observability):
             yield self
 
     def task_seed(self, task_name: str, explicit: int | None = None) -> int:

@@ -51,11 +51,7 @@ from ..hiddendb.epoch import StoreEpoch
 from ..hiddendb.interface import TopKInterface
 from ..hiddendb.ranking import RankingPolicy
 from ..hiddendb.schema import Schema
-from ..hiddendb.store import (
-    INDEX_ENGINE,
-    get_data_plane,
-    overriding_data_plane,
-)
+from ..hiddendb.store import INDEX_ENGINE
 from ..obs import OBS
 from .config import EngineConfig
 
@@ -282,10 +278,6 @@ class Engine:
         engine.load(payloads)
         engine.submit(EstimationTask("count", [count_all()], "RS"))
         report = engine.run_round()["count"]
-
-    The config's ``data_plane`` is scoped around every engine operation
-    (submit, load, run_round, apply_updates), so one engine can pin a
-    plane without touching the process default.
     """
 
     def __init__(
@@ -347,22 +339,8 @@ class Engine:
             del self._log[:drop]
             self._log_start += drop
 
-    @contextmanager
-    def _scoped(self):
-        """The round barrier plus this engine's context-local plane pin.
-
-        A pinned ``data_plane`` is a :class:`~contextvars.ContextVar`
-        override visible only to code this engine runs on the current
-        thread — the process-global switch is never touched, so engines
-        on other threads (pinned to anything or unpinned) proceed fully
-        concurrently and can never observe this engine's plane.
-        """
-        with self._round_lock, overriding_data_plane(self.config.data_plane):
-            yield
-
-    @contextmanager
-    def _write_scoped(self):
-        """The writer scope plus this engine's context-local plane pin.
+    def _writer_lock(self) -> threading.RLock:
+        """The lock a store writer holds.
 
         Sequential mode: the round barrier (writers and rounds exclude
         each other — the store stays round-static).  Overlap mode: the
@@ -370,9 +348,7 @@ class Engine:
         with an epoch-pinned round and serialize just against each other
         and the publish flip.
         """
-        lock = self._write_lock if self.config.overlap else self._round_lock
-        with lock, overriding_data_plane(self.config.data_plane):
-            yield
+        return self._write_lock if self.config.overlap else self._round_lock
 
     # ------------------------------------------------------------------
     # Introspection
@@ -403,7 +379,7 @@ class Engine:
     def _load_rows(self, rows) -> int:
         """Bulk-load tuples into the shared database (``engine.load(...)``
         on an instance — see :class:`_LoadName`); returns rows inserted."""
-        with self._write_scoped():
+        with self._writer_lock():
             return self.db.insert_many(rows)
 
     class _LoadName:
@@ -458,7 +434,7 @@ class Engine:
             raise ExperimentError(
                 "Engine.save needs a path (or a config with store_dir set)"
             )
-        with self._scoped(), self._write_lock, self._lock:
+        with self._round_lock, self._write_lock, self._lock:
             return save_engine(self, path, extra=extra)
 
     def apply_updates(
@@ -472,7 +448,7 @@ class Engine:
         published epoch, and becomes visible to estimators at the next
         ``advance_round`` publish flip.
         """
-        with self._write_scoped():
+        with self._writer_lock():
             mutate(self.db)
 
     def advance_round(self) -> int:
@@ -483,7 +459,7 @@ class Engine:
         :class:`~repro.hiddendb.epoch.StoreEpoch` and installed as the
         version the next ``run_round`` pins its estimators to.
         """
-        with self._write_scoped():
+        with self._writer_lock():
             round_index = self.db.advance_round()
             if self.config.overlap:
                 self.db.publish_epoch()
@@ -503,7 +479,7 @@ class Engine:
         sequentially, the write lock in overlap mode) and then the
         session lock for the table insert — always in that order.
         """
-        with self._write_scoped(), self._lock:
+        with self._writer_lock(), self._lock:
             if task.name in self._tasks:
                 raise DuplicateTaskError(task.name)
             factory = resolve_estimator(task.estimator)
@@ -579,10 +555,7 @@ class Engine:
     def _run_round_inner(
         self, tasks: Sequence[str] | None
     ) -> dict[str, RoundReport]:
-        # Pin the resolved plane for the whole round, whatever its source:
-        # every query asks for it, and without a context-local override
-        # each ask reads REPRO_DATA_PLANE from the environment again.
-        with self._scoped(), overriding_data_plane(get_data_plane()):
+        with self._round_lock:
             with self._lock:
                 if tasks is None:
                     selected = list(self._tasks.values())

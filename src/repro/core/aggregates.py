@@ -171,8 +171,8 @@ class AggregateSpec:
 
         ``start`` is folded in as the first accumulation term, and the
         rows are accumulated strictly left to right (cumsum), so chaining
-        ``batch_total`` over heap segments reproduces the scalar plane's
-        single sequential Python sum bit for bit (numpy's pairwise
+        ``batch_total`` over heap segments reproduces a per-tuple
+        sequential Python sum bit for bit (numpy's pairwise
         ``.sum()``, or summing per-segment subtotals, would not).
         """
         if self.column_f is None or self.selection is not None:

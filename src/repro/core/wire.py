@@ -22,9 +22,7 @@ self-describing across releases.  Decoding is *forward tolerant*:
 * :func:`wire_version` never rejects a higher version — new fields must be
   additive, which is exactly what tolerant readers allow.
 
-Decode failures raise :class:`~repro.errors.WireFormatError` (a
-``ValueError`` subclass during the migration window — see the note in
-:mod:`repro.errors`).
+Decode failures raise :class:`~repro.errors.WireFormatError`.
 """
 
 from __future__ import annotations

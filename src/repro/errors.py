@@ -18,17 +18,11 @@ Wire error payloads have the shape::
 ``code`` is the contract (stable across releases); ``error_type`` and
 ``message`` are human-facing and may change.
 
-**Migration note (service-plane redesign).**  The facade boundary used to
-surface a few ad-hoc ``ValueError``\\ s; those are now typed:
-
-* malformed wire payloads (``repro.core.wire`` decode failures) raise
-  :class:`WireFormatError` — still a ``ValueError`` subclass for one
-  release, so existing ``except ValueError`` handlers keep working;
-* ``Engine`` raises :class:`UnknownTaskError` / :class:`DuplicateTaskError`
-  instead of bare :class:`ExperimentError` for task-table misses and
-  double submissions — both subclass :class:`ExperimentError`, so existing
-  handlers keep working.  Catch the specific classes (or match ``code``)
-  going forward.
+**Migration note (service-plane redesign).**  ``Engine`` raises
+:class:`UnknownTaskError` / :class:`DuplicateTaskError` instead of bare
+:class:`ExperimentError` for task-table misses and double submissions —
+both subclass :class:`ExperimentError`, so existing handlers keep working.
+Catch the specific classes (or match ``code``) going forward.
 """
 
 from __future__ import annotations
@@ -137,13 +131,8 @@ class DuplicateTaskError(ExperimentError):
         return {"task": self.name}
 
 
-class WireFormatError(ReproError, ValueError):
-    """A wire payload cannot be decoded (bad float spelling, bad version).
-
-    Subclasses ``ValueError`` for one release: ``repro.core.wire`` decode
-    failures used to raise bare ``ValueError`` (see the migration note in
-    the module docstring).
-    """
+class WireFormatError(ReproError):
+    """A wire payload cannot be decoded (bad float spelling, bad version)."""
 
     code = "WIRE_INVALID"
     http_status = 400

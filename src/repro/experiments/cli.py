@@ -4,7 +4,6 @@ Installed as ``repro-experiments``::
 
     repro-experiments list
     repro-experiments run fig02 --scale 0.1 --trials 3
-    repro-experiments run fig12 --data-plane scalar
     repro-experiments run all --out results.txt
 
 The CLI is a thin client of :mod:`repro.api`: the flags populate one
@@ -45,14 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int, default=None,
                      help="per-round query budget G")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--data-plane",
-        choices=("vectorized", "scalar"),
-        default=None,
-        help="data plane for bulk loads and query evaluation (default: "
-             "the process default — set_data_plane, then REPRO_DATA_PLANE, "
-             "then 'vectorized')",
-    )
     run.add_argument(
         "--profile",
         action="store_true",
@@ -106,10 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     chunks = []
     # One config object carries every knob; applying it scopes the process
     # defaults that the figure drivers' engines then inherit.
-    config = EngineConfig(
-        data_plane=args.data_plane,
-        observability=True if args.profile else None,
-    )
+    config = EngineConfig(observability=True if args.profile else None)
     with config.apply():
         for figure_id in targets:
             if args.profile:

@@ -172,26 +172,18 @@ def run_three_way(
     estimators: Sequence[EstimatorFactory] | None = None,
     seed: int = 0,
     intra_round: bool = False,
-    config: EngineConfig | None = None,
 ) -> ExperimentResult:
-    """Run one experiment comparing estimators (default: all three).
-
-    ``config`` routes every engine knob at once (and wins over ``k`` /
-    ``budget`` when given); execution goes through the
-    :class:`repro.api.Engine` facade either way.
-    """
+    """Run one experiment comparing estimators (default: all three);
+    execution goes through the :class:`repro.api.Engine` facade."""
     experiment = Experiment(
         name,
         env_factory,
         specs_factory,
-        k=k,
-        budget_per_round=budget,
+        config=EngineConfig(k=k, budget_per_round=budget, seed=seed),
         rounds=rounds,
         trials=trials,
         estimators=estimators or default_estimators(),
-        base_seed=seed,
         intra_round=intra_round,
-        config=config,
     )
     return experiment.run()
 

@@ -217,8 +217,8 @@ def run_fig12(
         def factory(seed_: int, n=n):
             source = skewed_source(domain_sizes, exponent=0.4, seed=seed_)
             db = HiddenDatabase(source.schema)
-            # Columnar load: the batch goes straight to the vectorized
-            # data plane without materializing per-tuple payloads.
+            # Columnar load: the batch goes straight into heap blocks
+            # without materializing per-tuple payloads.
             db.insert_many(source.batch_columns(n))
             from ...data.schedules import FreshTupleSchedule
 

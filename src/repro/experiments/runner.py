@@ -93,12 +93,9 @@ def default_estimators() -> list[EstimatorFactory]:
 class Experiment:
     """A repeatable multi-round, multi-trial estimator comparison.
 
-    Either pass the legacy knobs (``k``, ``budget_per_round``,
-    ``base_seed``) or hand in an
-    :class:`~repro.api.EngineConfig` via ``config`` — the config wins
-    when both are given, except that an explicitly passed ``base_seed``
-    takes precedence over ``config.seed`` for trial seeding.  Estimates
-    are bit-identical through either spelling.
+    Every engine knob comes from ``config`` (an
+    :class:`~repro.api.EngineConfig`); trial seeding starts from
+    ``config.seed``.
     """
 
     def __init__(
@@ -106,45 +103,24 @@ class Experiment:
         name: str,
         env_factory: EnvFactory,
         specs_factory: SpecsFactory,
-        k: int = 100,
-        budget_per_round: int = 300,
+        config: EngineConfig | None = None,
         rounds: int = 1,
         trials: int = 1,
         estimators: Sequence[EstimatorFactory] | None = None,
-        base_seed: int | None = None,
         intra_round: bool = False,
-        config: EngineConfig | None = None,
     ):
         if rounds < 1 or trials < 1:
             raise ExperimentError("rounds and trials must be positive")
         self.name = name
         self.env_factory = env_factory
         self.specs_factory = specs_factory
-        if config is None:
-            config = EngineConfig(
-                k=k,
-                budget_per_round=budget_per_round,
-                seed=base_seed if base_seed is not None else 0,
-            )
-        self.config = config
+        self.config = config if config is not None else EngineConfig()
         self.rounds = rounds
         self.trials = trials
         self.estimators = (
             list(estimators) if estimators is not None else default_estimators()
         )
-        # Trial seeding: an explicit base_seed wins; otherwise the config's
-        # seed governs (so `config=EngineConfig(seed=...)` is honoured).
-        self.base_seed = base_seed if base_seed is not None else config.seed
         self.intra_round = intra_round
-
-    # Legacy attribute views (pre-config call sites read these).
-    @property
-    def k(self) -> int:
-        return self.config.k
-
-    @property
-    def budget_per_round(self) -> int:
-        return self.config.budget_per_round
 
     def _build_env(self, seed: int) -> Env:
         with self.config.apply(), OBS.span("experiment.env_build"):
@@ -158,7 +134,7 @@ class Experiment:
         """Execute all trials and return the collected result."""
         result: ExperimentResult | None = None
         for trial in range(self.trials):
-            seed = self.base_seed + 1000 * trial
+            seed = self.config.seed + 1000 * trial
             with OBS.span("experiment.trial"):
                 if self.intra_round:
                     trial_result = self._run_trial_intra(seed, trial, result)
@@ -232,7 +208,8 @@ class Experiment:
             tracker = GroundTruthTracker(db, specs)
             handle = engine.submit(factory.task(specs, seed + 17 + index))
             driver = IntraRoundDriver(
-                db, schedule, self.budget_per_round, random.Random(seed + 5)
+                db, schedule, self.config.budget_per_round,
+                random.Random(seed + 5),
             )
             handle.estimator.on_query = driver.on_query
             snapshots[factory.name] = {}

@@ -12,16 +12,7 @@ from .ranking import MeasureScore, RandomScore, RecencyScore
 from .result import QueryResult, QueryStatus
 from .schema import Attribute, Schema, boolean_schema
 from .session import QuerySession
-from .store import (
-    KeyCodec,
-    PrefixIndex,
-    SortedKeyList,
-    TupleStore,
-    get_data_plane,
-    overriding_data_plane,
-    set_data_plane,
-    using_data_plane,
-)
+from .store import KeyCodec, PrefixIndex, SortedKeyList, TupleStore
 from .tuples import HiddenTuple, TupleBatch, make_tuple
 
 __all__ = [
@@ -43,10 +34,6 @@ __all__ = [
     "TupleBatch",
     "TupleStore",
     "boolean_schema",
-    "get_data_plane",
     "make_tuple",
     "mod_many",
-    "overriding_data_plane",
-    "set_data_plane",
-    "using_data_plane",
 ]

@@ -32,7 +32,7 @@ from ..obs import OBS
 from .epoch import StoreEpoch
 from .ranking import RandomScore, RankingPolicy, scores_for_batch
 from .schema import Schema
-from .store import TupleStore, get_data_plane
+from .store import TupleStore
 from .tuples import HiddenTuple, TupleBatch
 
 #: Per-context (thread / task) epoch pin: ``(database, epoch)`` while inside
@@ -196,8 +196,8 @@ class HiddenDatabase:
 
         Semantically identical to inserting the batch's rows one by one
         with :meth:`insert` — same tid allocation, same ranking-policy
-        score stream — but the whole batch stays columnar on the
-        vectorized data plane (see :mod:`repro.hiddendb.store`).
+        score stream — but the whole batch stays columnar (see
+        :mod:`repro.hiddendb.store`).
         """
         n = len(batch)
         if n == 0:
@@ -219,17 +219,16 @@ class HiddenDatabase:
         Semantically identical to calling :meth:`insert` per row (same tid
         allocation, same ranking-policy score stream) but the indexes are
         brought up to date with one bulk merge for the whole batch.  A
-        :class:`TupleBatch` — or, on the vectorized data plane, any uniform
-        payload list — takes the columnar fast path.
+        :class:`TupleBatch` — or any uniform payload list — takes the
+        columnar fast path.
         """
         if isinstance(rows, TupleBatch):
             return self.insert_batch(rows)
-        if get_data_plane() == "vectorized":
-            rows = list(rows)
-            if self._payloads_uniform(rows):
-                return self.insert_batch(
-                    TupleBatch.from_payloads(rows, len(self.schema.measures))
-                )
+        rows = list(rows)
+        if self._payloads_uniform(rows):
+            return self.insert_batch(
+                TupleBatch.from_payloads(rows, len(self.schema.measures))
+            )
         count = 0
         with self.store.bulk():
             for values, measures in rows:

@@ -13,28 +13,24 @@ Query evaluation strategy:
 * Otherwise (ad-hoc conjunctions) evaluation falls back to a full scan.
   The scan path doubles as the correctness oracle in property tests.
 
-Two query planes implement both strategies (selected by the process-wide
-``REPRO_DATA_PLANE`` switch, see :mod:`repro.hiddendb.store`):
+Both strategies are columnar: candidate tids come from the index as
+vectors (:meth:`PrefixIndex.range_tids`), scan predicates are matched
+against the frozen blocks' value matrices (:meth:`TupleStore.scan_match`),
+and a valid result carries a deferred
+:class:`~repro.hiddendb.result.PageColumns`: page selection
+(``np.argpartition`` + exact lexsort, tie-broken ``(-score, tid)`` exactly
+like :func:`~repro.hiddendb.result.top_k_by_score`) and tuple
+materialisation run only when a consumer reads the page.  The per-tuple
+reference evaluation (``store.get`` plus ``top_k_by_score``) lives in
+``tests/oracle.py``, which the parity tests compare this module against.
 
-* **scalar** — the reference plane: per-tuple ``store.get`` plus
-  :func:`~repro.hiddendb.result.top_k_by_score`.  The oracle the parity
-  tests compare against.
-* **columnar** (the ``vectorized`` plane, default) — candidate tids come
-  from the index as vectors (:meth:`PrefixIndex.range_tids`), scan
-  predicates are matched against the frozen blocks' value matrices
-  (:meth:`TupleStore.scan_match`), and a valid result carries a deferred
-  :class:`~repro.hiddendb.result.PageColumns`: page selection
-  (``np.argpartition`` + exact lexsort, tie-broken ``(-score, tid)``
-  exactly like ``top_k_by_score``) and tuple materialisation run only when
-  a consumer reads the page.  Deferred *valid* pages are pinned to the
-  store's mutation epoch and raise
-  :class:`~repro.errors.StaleResultError` rather than reflect post-query
-  state (their scalar twin was computed eagerly); the intra-round update
-  driver is safe because :class:`~repro.hiddendb.session.QuerySession`
-  freezes results before its mutation hook fires.  *Overflow* pages keep
-  the scalar plane's lazy semantics path by path: prefix loaders re-read
-  the current index state at access on both planes, scan loaders rank a
-  query-time snapshot on both planes.
+Deferred *valid* pages are pinned to the store's mutation epoch and raise
+:class:`~repro.errors.StaleResultError` rather than reflect post-query
+state (the reference computes them eagerly); the intra-round update driver
+is safe because :class:`~repro.hiddendb.session.QuerySession` freezes
+results before its mutation hook fires.  *Overflow* pages keep the
+reference's lazy semantics path by path: prefix loaders re-read the
+current index state at access, scan loaders rank a query-time snapshot.
 """
 
 from __future__ import annotations
@@ -46,14 +42,7 @@ from ..errors import StaleResultError
 from ..obs import OBS
 from .database import HiddenDatabase
 from .query import ConjunctiveQuery
-from .result import (
-    PageColumns,
-    QueryResult,
-    QueryStatus,
-    top_k_by_score,
-    top_k_select,
-)
-from .store import get_data_plane
+from .result import PageColumns, QueryResult, QueryStatus, top_k_select
 from .tuples import HiddenTuple
 
 
@@ -218,21 +207,6 @@ class TopKInterface:
         matching = index.count_prefix(prefix_values)
         if matching == 0:
             return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
-        if get_data_plane() == "scalar":
-            if matching <= self.k:
-                page = top_k_by_score(
-                    (store.get(tid) for tid in index.iter_tids(prefix_values)),
-                    self.k,
-                )
-                return QueryResult(QueryStatus.VALID, self.k, tuples=page)
-
-            def load_page() -> list[HiddenTuple]:
-                return top_k_by_score(
-                    (store.get(tid) for tid in index.iter_tids(prefix_values)),
-                    self.k,
-                )
-
-            return QueryResult(QueryStatus.OVERFLOW, self.k, loader=load_page)
         if matching <= self.k:
             fetch = self._epoch_guarded(
                 lambda: store.gather(index.range_tids(prefix_values))
@@ -244,10 +218,10 @@ class TopKInterface:
             )
 
         def load_page() -> list[HiddenTuple]:
-            # Overflow pages re-read the index at access time on both
-            # planes (leaf-overflow outcomes are read mid-round by the
-            # intra-round driver), so no epoch guard here: the scalar
-            # loader above has the identical read-at-access semantics.
+            # Overflow pages re-read the index at access time
+            # (leaf-overflow outcomes are read mid-round by the
+            # intra-round driver), so no epoch guard here: the reference
+            # loader has the identical read-at-access semantics.
             rows = store.gather(index.range_tids(prefix_values))
             batch = rows.batch
             order = top_k_select(batch.scores, batch.tids, self.k)
@@ -257,21 +231,6 @@ class TopKInterface:
 
     def _evaluate_scan(self, query: ConjunctiveQuery) -> QueryResult:
         """Full-scan evaluation for arbitrary conjunctions."""
-        if get_data_plane() == "scalar":
-            # Reference path: per-tuple predicate matching over the heap.
-            matches = [t for t in self.db.tuples() if query.matches(t)]
-            if not matches:
-                return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
-            if len(matches) <= self.k:
-                return QueryResult(
-                    QueryStatus.VALID, self.k,
-                    tuples=top_k_by_score(matches, self.k),
-                )
-            return QueryResult(
-                QueryStatus.OVERFLOW,
-                self.k,
-                loader=lambda: top_k_by_score(matches, self.k),
-            )
         store = self.db.read_store
         tids, scores = store.scan_match(query.predicates)
         matching = len(tids)
@@ -284,7 +243,7 @@ class TopKInterface:
                 self.k,
                 page=PageColumns(matching, self.k, fetch),
             )
-        # The scalar scan branch captures its match list eagerly and only
+        # The reference scan captures its match list eagerly and only
         # ranks it on access; mirror that snapshot semantics exactly by
         # selecting and gathering the page rows now (k rows — cheap next
         # to the scan itself) and deferring just the materialization.

@@ -69,7 +69,7 @@ class RandomScore:
         self, batch: TupleBatch, tids: np.ndarray, schema: Schema
     ) -> np.ndarray:
         # Draw from the same Mersenne stream as per-tuple scoring so the
-        # scalar and vectorized planes assign identical scores.
+        # columnar and per-tuple inserts assign identical scores.
         rng_random = self._rng.random
         return np.array(
             [rng_random() for _ in range(len(batch))], dtype=np.float64

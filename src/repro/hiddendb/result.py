@@ -186,10 +186,10 @@ class QueryResult:
         Called by :class:`~repro.hiddendb.session.QuerySession` before its
         ``on_query`` hook fires (the hook is how the intra-round driver
         mutates the database between queries).  Overflow loaders are left
-        lazy, exactly like the scalar plane — prefix loaders re-read the
-        index at access time and scan loaders rank a query-time snapshot,
-        identically on both planes — so a post-mutation read (e.g. a
-        leaf-overflow outcome consumed mid-round) stays plane-identical.
+        lazy, exactly like the per-tuple reference — prefix loaders
+        re-read the index at access time and scan loaders rank a
+        query-time snapshot — so a post-mutation read (e.g. a
+        leaf-overflow outcome consumed mid-round) matches the reference.
         """
         if self._tuples is None and self.page is not None:
             self.page.resolve()

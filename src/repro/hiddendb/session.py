@@ -102,8 +102,8 @@ class QuerySession:
         result = self.interface.search(query)
         if self._on_query is not None:
             # The hook mutates the database (intra-round update model), so
-            # pin the columnar plane's deferred page to pre-mutation state
-            # before it fires — mirroring the scalar plane's eager pages.
+            # pin the deferred page to pre-mutation state before it
+            # fires — mirroring the per-tuple reference's eager pages.
             result.freeze()
         if self.cache_within_round:
             self._cache[query] = result

@@ -27,18 +27,12 @@ Components:
   in frozen :class:`~repro.hiddendb.tuples.TupleBatch` blocks and are
   materialized as :class:`HiddenTuple` objects only when a query touches
   them.
-
-The vectorized plane can be disabled process-wide (``REPRO_DATA_PLANE=scalar``
-or :func:`set_data_plane`), which makes every batch entry point fall back to
-the per-tuple code path — the parity oracle for the batch plane.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left, bisect_right, insort
-from contextvars import ContextVar
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -67,7 +61,6 @@ _REFREEZE_REUSED = OBS.counter(
 )
 
 __all__ = [
-    "DATA_PLANES",
     "DEFAULT_BLOCK_SIZE",
     "GatheredRows",
     "INDEX_ENGINE",
@@ -75,139 +68,7 @@ __all__ = [
     "PrefixIndex",
     "SortedKeyList",
     "TupleStore",
-    "get_data_plane",
-    "overriding_data_plane",
-    "set_data_plane",
-    "using_data_plane",
 ]
-
-
-# ----------------------------------------------------------------------
-# Data-plane selection
-# ----------------------------------------------------------------------
-
-#: The valid data planes (shared by every layer that validates a name).
-DATA_PLANES = ("vectorized", "scalar")
-
-_DATA_PLANES = DATA_PLANES
-
-#: The explicit programmatic selection.  ``None`` means "never set", in
-#: which case the ``REPRO_DATA_PLANE`` environment variable (read lazily,
-#: so it is only a *default*) governs.  Precedence, highest first:
-#: context-local override (:func:`overriding_data_plane` — the engine
-#: facade's pinning primitive) > process-wide programmatic setting
-#: (:func:`set_data_plane` / :func:`using_data_plane`) >
-#: ``REPRO_DATA_PLANE`` > the built-in ``"vectorized"`` default.
-_data_plane: str | None = None
-
-#: Context-local (thread/task-scoped) override.  Pinned scopes set it so
-#: their plane choice is invisible to concurrent threads — no global
-#: state is touched and no cross-scope locking is needed.
-_plane_override: ContextVar[str | None] = ContextVar(
-    "repro-data-plane-override", default=None
-)
-
-
-def _env_default() -> str:
-    """The plane named by ``REPRO_DATA_PLANE``, or the built-in default."""
-    from_env = os.environ.get("REPRO_DATA_PLANE")
-    if from_env is None:
-        return "vectorized"
-    if from_env not in _DATA_PLANES:
-        raise SchemaError(
-            f"REPRO_DATA_PLANE must be one of {_DATA_PLANES}, got "
-            f"{from_env!r}"
-        )
-    return from_env
-
-
-def get_data_plane() -> str:
-    """The active data plane: ``"vectorized"`` (default) or ``"scalar"``.
-
-    A context-local :func:`overriding_data_plane` scope wins first; then
-    an explicit :func:`set_data_plane`; absent both, the
-    ``REPRO_DATA_PLANE`` environment variable is consulted on every call
-    (so it stays a pure default and never overrides program decisions).
-    """
-    override = _plane_override.get()
-    if override is not None:
-        return override
-    if _data_plane is not None:
-        return _data_plane
-    return _env_default()
-
-
-def set_data_plane(name: str | None) -> str | None:
-    """Select the data plane process-wide; returns the previous *explicit*
-    setting (``None`` when none was made), so the save/restore idiom
-    round-trips exactly::
-
-        previous = set_data_plane("scalar")
-        ...
-        set_data_plane(previous)   # restores even a never-set state
-
-    ``"scalar"`` makes :meth:`TupleStore.insert_batch` (and everything
-    built on it) degrade to the per-tuple insert path — byte-identical
-    results, per-tuple cost.  Used by the parity tests and the
-    ``REPRO_DATA_PLANE`` benchmark knob.
-
-    An explicit setting takes precedence over the ``REPRO_DATA_PLANE``
-    environment variable; pass ``None`` to drop the explicit setting and
-    fall back to the environment default.  (The *effective* plane before
-    the call is ``get_data_plane()``.)
-    """
-    global _data_plane
-    if name is not None and name not in _DATA_PLANES:
-        raise SchemaError(
-            f"unknown data plane {name!r}; available: {', '.join(_DATA_PLANES)}"
-        )
-    previous = _data_plane
-    _data_plane = name
-    return previous
-
-
-@contextmanager
-def overriding_data_plane(name: str | None):
-    """Context-local plane override (``None`` leaves everything untouched).
-
-    The engine facade's pinning primitive: unlike :func:`using_data_plane`
-    it never mutates process-global state — the override lives in a
-    :class:`~contextvars.ContextVar`, so it is visible only to code
-    running in the current thread/task (and beats both
-    :func:`set_data_plane` and the environment there), while concurrent
-    threads keep seeing the ambient plane.  Nests freely; exiting restores
-    the outer override exactly.
-    """
-    if name is None:
-        yield get_data_plane()
-        return
-    if name not in _DATA_PLANES:
-        raise SchemaError(
-            f"unknown data plane {name!r}; available: {', '.join(_DATA_PLANES)}"
-        )
-    token = _plane_override.set(name)
-    try:
-        yield name
-    finally:
-        _plane_override.reset(token)
-
-
-@contextmanager
-def using_data_plane(name: str | None):
-    """Scope the data plane (``None`` leaves it untouched).
-
-    On exit the previous state is restored exactly — including "never
-    explicitly set", so a scope used before any :func:`set_data_plane`
-    call leaves the environment-variable default in charge afterwards.
-    """
-    if name is None:
-        yield get_data_plane()
-        return
-    previous = set_data_plane(name)
-    try:
-        yield name
-    finally:
-        set_data_plane(previous)
 
 
 class SortedKeyList:
@@ -711,9 +572,6 @@ class PrefixIndex:
 
     def bulk_add_batch(self, batch: TupleBatch) -> None:
         """Index a columnar batch without materializing tuples."""
-        if get_data_plane() == "scalar":
-            self.bulk_add(batch.iter_tuples())
-            return
         self._keys.bulk_add(self._batch_keys(batch))
 
     def count_prefix(self, prefix_values: Sequence[int]) -> int:
@@ -1147,7 +1005,7 @@ class TupleStore:
         ``query.matches``: frozen blocks are matched with one boolean mask
         over the value matrix, the per-tuple dict per row.  Returns two
         aligned vectors (int64 tids, float64 scores) — an eager snapshot,
-        taken at query time like the scalar scan's match list.
+        taken at query time like the reference scan's match list.
         """
         tid_parts: list[np.ndarray] = []
         score_parts: list[np.ndarray] = []
@@ -1232,20 +1090,15 @@ class TupleStore:
         """Insert an identified columnar batch in one heap/index operation.
 
         Semantically identical to inserting the materialized tuples one by
-        one (and degrades to exactly that under the scalar data plane), but
-        on the vectorized plane no per-tuple Python object is built unless
-        a mutation listener is subscribed.
+        one (the per-tuple reference in ``tests/oracle.py``), but no
+        per-tuple Python object is built unless a mutation listener is
+        subscribed.
         """
         n = len(batch)
         if n == 0:
             return 0
         if batch.tids is None or batch.scores is None:
             raise SchemaError("insert_batch requires an identified batch")
-        if get_data_plane() == "scalar":
-            with self.bulk():
-                for t in batch.iter_tuples():
-                    self.insert(t)
-            return n
         if n > 1 and not bool(np.all(np.diff(batch.tids) > 0)):
             raise SchemaError("batch tids must be strictly increasing")
         tid_lo = int(batch.tids[0])
@@ -1255,10 +1108,10 @@ class TupleStore:
             # A new block would iterate before existing dict rows (blocks
             # come first) or interleave existing blocks, breaking the
             # ascending-tid heap invariant that keeps block lookups a
-            # single probe and iteration order identical to the scalar
-            # plane — route such batches through the per-tuple path,
-            # which behaves exactly like the scalar plane by construction
-            # (including its duplicate-tid check).
+            # single probe and iteration order identical to per-tuple
+            # inserts — route such batches through the per-tuple path,
+            # which behaves exactly like per-tuple inserts by construction
+            # (including their duplicate-tid check).
             with self.bulk():
                 for t in batch.iter_tuples():
                     self.insert(t)
@@ -1387,8 +1240,8 @@ class TupleStore:
             # Update the frozen block's columns in place: index keys
             # depend only on (values, tid), and keeping the row in its
             # block preserves heap iteration order — and therefore the
-            # scalar-plane parity of ``random_tids`` — under measure
-            # drift.
+            # per-tuple-reference parity of ``random_tids`` — under
+            # measure drift.
             block, row = block_row
             block._unshare()
             block.batch.measures[row] = t.measures
@@ -1427,7 +1280,7 @@ class TupleStore:
 
         The population is composed blocks-first then dict, which keeps it
         ascending by tid in every supported flow — so the sampled sequence
-        is identical between the scalar and vectorized load paths.
+        is identical between columnar and per-tuple loads.
         """
         population: list[int] = []
         for block in self._blocks:

@@ -75,8 +75,7 @@ class HiddenTuple:
 
 
 class TupleBatch:
-    """A columnar batch of tuples — the payload unit of the vectorized
-    data plane.
+    """A columnar batch of tuples — the payload unit of bulk loads.
 
     Attributes
     ----------

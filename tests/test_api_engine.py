@@ -346,99 +346,6 @@ class TestThreadSafety:
             f"tenant-{i}" for i in range(8)
         )
 
-    def test_concurrent_engines_with_pinned_planes_do_not_leak(self):
-        """Two engines pinning different planes, run from two threads:
-        neither corrupts the other's scope nor leaks an explicit
-        process-global setting after both finish."""
-        from repro.hiddendb import store
-
-        previous_explicit = store._data_plane
-        store._data_plane = None
-        try:
-            engines = []
-            for plane in ("scalar", "vectorized"):
-                db, _ = _build_env()
-                engine = Engine(
-                    EngineConfig(k=12, budget_per_round=60, data_plane=plane),
-                    db=db,
-                )
-                engine.submit(EstimationTask(
-                    "tenant", [count_all()], "RS", budget=30, seed=1,
-                ))
-                engines.append(engine)
-            results = {}
-
-            def run(engine, plane):
-                for _ in range(3):
-                    results.setdefault(plane, []).append(
-                        engine.run_round(tasks=["tenant"])["tenant"].estimates
-                    )
-
-            threads = [
-                threading.Thread(target=run, args=(engine, plane))
-                for engine, plane in zip(engines, ("scalar", "vectorized"))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            # No explicit plane leaked past both scopes.
-            assert store._data_plane is None
-            # Both planes are bit-identical estimators of the same content,
-            # so the two engines (identical envs/seeds) must agree.
-            for a, b in zip(results["scalar"], results["vectorized"]):
-                _same_estimates(a, b)
-        finally:
-            store._data_plane = previous_explicit
-
-    def test_unpinned_engine_never_observes_a_pinned_plane(self):
-        """While a pinned engine is mid-operation, an unpinned engine on
-        another thread proceeds *concurrently* and still sees the ambient
-        default — the pin is a context-local override, invisible outside
-        its engine, and touches no process-global state."""
-        from repro.hiddendb import store
-        from repro.hiddendb.store import get_data_plane
-
-        previous_explicit = store._data_plane
-        store._data_plane = None
-        try:
-            db1, _ = _build_env()
-            db2, _ = _build_env()
-            pinned = Engine(EngineConfig(k=5, data_plane="scalar"), db=db1)
-            ambient = Engine(EngineConfig(k=5), db=db2)
-            inside_pin = threading.Event()
-            release_pin = threading.Event()
-            seen = {}
-
-            def slow_mutation(db):
-                seen["pinned"] = get_data_plane()
-                inside_pin.set()
-                release_pin.wait(5)
-
-            pin_thread = threading.Thread(
-                target=lambda: pinned.apply_updates(slow_mutation)
-            )
-            pin_thread.start()
-            assert inside_pin.wait(5)
-            observed = []
-            ambient_thread = threading.Thread(
-                target=lambda: ambient.apply_updates(
-                    lambda db: observed.append(get_data_plane())
-                )
-            )
-            # The ambient engine completes WHILE the pin is still active:
-            # true concurrency, yet the pin stays invisible to it.
-            ambient_thread.start()
-            ambient_thread.join(5)
-            assert not ambient_thread.is_alive()
-            assert observed == ["vectorized"]
-            release_pin.set()
-            pin_thread.join(5)
-            assert seen["pinned"] == "scalar"
-            assert store._data_plane is None
-        finally:
-            store._data_plane = previous_explicit
-
     def test_ranking_with_existing_db_rejected(self):
         from repro.hiddendb.ranking import RandomScore
 
@@ -511,13 +418,10 @@ class TestConfig:
             EngineConfig(budget_per_round=0)
         with pytest.raises(ExperimentError):
             EngineConfig(seed_policy="mystery")
-        with pytest.raises(ExperimentError):
-            EngineConfig(data_plane="quantum")
 
     def test_round_trip_and_json(self):
         config = EngineConfig(
-            data_plane="scalar", k=7,
-            budget_per_round=42, seed=3, seed_policy="shared",
+            k=7, budget_per_round=42, seed=3, seed_policy="shared",
         )
         payload = json.loads(json.dumps(config.to_dict(), allow_nan=False))
         assert EngineConfig.from_dict(payload) == config
@@ -539,16 +443,6 @@ class TestConfig:
         assert config.replace(k=9) != config
         with pytest.raises(ExperimentError):
             config.replace(k=0)
-
-    def test_resolution_defers_to_process_defaults(self):
-        from repro.hiddendb.store import using_data_plane
-
-        config = EngineConfig()
-        with using_data_plane("scalar"):
-            assert config.resolved_data_plane() == "scalar"
-        pinned = EngineConfig(data_plane="vectorized")
-        with using_data_plane("scalar"):
-            assert pinned.resolved_data_plane() == "vectorized"
 
     def test_task_validation(self):
         with pytest.raises(ExperimentError):

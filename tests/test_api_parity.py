@@ -9,8 +9,10 @@ Two oracles:
   ``Experiment._run_trial_round`` loop (shared interface, estimator dict).
 
 Both must produce exactly the same estimate stream as the
-:class:`repro.api.Engine` / config-routed :class:`Experiment`, on every
-data plane.
+:class:`repro.api.Engine` / config-routed :class:`Experiment`.  The
+``scalar`` rows run the legacy side under the per-tuple reference plane
+of ``tests/oracle.py`` while the engine side runs in production, so they
+also check production against the oracle at the engine level.
 """
 
 import math
@@ -23,7 +25,7 @@ from repro.api import Engine, EngineConfig, EstimationTask, resolve_estimator
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.experiments import EstimatorFactory, Experiment
-from repro.hiddendb.store import using_data_plane
+from tests.oracle import plane
 
 PLANES = ("scalar", "vectorized")
 # Case ids are kept stable across releases so per-case results compare.
@@ -75,11 +77,11 @@ def _assert_streams_equal(old, new):
         )
 
 
-@pytest.mark.parametrize("plane", PLANES, ids=PLANE_IDS)
+@pytest.mark.parametrize("plane_name", PLANES, ids=PLANE_IDS)
 @pytest.mark.parametrize("estimator", ("RESTART", "REISSUE", "RS"))
-def test_manual_legacy_path_matches_engine(plane, estimator):
+def test_manual_legacy_path_matches_engine(plane_name, estimator):
     # Legacy: hand-built database, interface, estimator class, churn loop.
-    with using_data_plane(plane):
+    with plane(plane_name):
         db, schedule = _build_env()
         interface = TopKInterface(db, K)
         legacy = resolve_estimator(estimator)(
@@ -94,11 +96,8 @@ def test_manual_legacy_path_matches_engine(plane, estimator):
             old_stream.append(dict(legacy.run_round().estimates))
 
     # Facade: same environment rebuilt identically, driven by an Engine.
-    with using_data_plane(plane):
-        db, schedule = _build_env()
-    engine = Engine(
-        EngineConfig(k=K, budget_per_round=BUDGET, data_plane=plane), db=db
-    )
+    db, schedule = _build_env()
+    engine = Engine(EngineConfig(k=K, budget_per_round=BUDGET), db=db)
     engine.submit(
         EstimationTask("tenant", _specs(db.schema), estimator, seed=SEED)
     )
@@ -139,9 +138,9 @@ def _legacy_runner_estimates(trials=2):
     return streams
 
 
-@pytest.mark.parametrize("plane", PLANES, ids=PLANE_IDS)
-def test_experiment_runner_matches_legacy_loop(plane):
-    with using_data_plane(plane):
+@pytest.mark.parametrize("plane_name", PLANES, ids=PLANE_IDS)
+def test_experiment_runner_matches_legacy_loop(plane_name):
+    with plane(plane_name):
         old = _legacy_runner_estimates()
 
     experiment = Experiment(
@@ -155,7 +154,7 @@ def test_experiment_runner_matches_legacy_loop(plane):
         ],
         rounds=ROUNDS,
         trials=2,
-        config=EngineConfig(data_plane=plane, k=K, budget_per_round=BUDGET),
+        config=EngineConfig(k=K, budget_per_round=BUDGET),
     )
     result = experiment.run()
     for name, old_stream in old.items():
@@ -167,64 +166,25 @@ def test_experiment_runner_matches_legacy_loop(plane):
         _assert_streams_equal(old_stream, new_stream)
 
 
-@pytest.mark.parametrize("rounds", [2], ids=["blocked"])
-def test_legacy_kwargs_and_config_spellings_agree(rounds):
-    """`Experiment(k=..., budget_per_round=...)` ==
-    `Experiment(config=...)`."""
-
-    def run(**kwargs):
-        return Experiment(
-            "spelling",
-            _build_env,
-            _specs,
-            estimators=[EstimatorFactory("RS", "RS")],
-            rounds=rounds,
-            trials=1,
-            **kwargs,
-        ).run()
-
-    via_kwargs = run(k=K, budget_per_round=BUDGET)
-    via_config = run(config=EngineConfig(k=K, budget_per_round=BUDGET))
-    for trial_old, trial_new in zip(
-        via_kwargs.estimates["RS"], via_config.estimates["RS"]
-    ):
-        _assert_streams_equal(trial_old, trial_new)
-
-
 def test_experiment_honours_config_seed():
-    """`config=EngineConfig(seed=...)` must govern trial seeding exactly
-    like the legacy `base_seed=` spelling (explicit base_seed still wins)."""
+    """`config=EngineConfig(seed=...)` governs trial seeding."""
 
-    def run(**kwargs):
+    def run(config):
         return Experiment(
             "seeding",
             _build_env,
             _specs,
+            config=config,
             estimators=[EstimatorFactory("RS", "RS")],
             rounds=2,
             trials=1,
-            **kwargs,
         ).run()
 
-    via_base_seed = run(k=K, budget_per_round=BUDGET, base_seed=42)
-    via_config = run(config=EngineConfig(k=K, budget_per_round=BUDGET, seed=42))
-    for trial_old, trial_new in zip(
-        via_base_seed.estimates["RS"], via_config.estimates["RS"]
-    ):
-        _assert_streams_equal(trial_old, trial_new)
-    default_seed = run(k=K, budget_per_round=BUDGET)
+    via_config = run(EngineConfig(k=K, budget_per_round=BUDGET, seed=42))
+    default_seed = run(EngineConfig(k=K, budget_per_round=BUDGET))
     assert not all(
         _same_estimates(a, b)
         for a, b in zip(
             via_config.estimates["RS"][0], default_seed.estimates["RS"][0]
         )
     ), "seed=42 must actually change the trial stream"
-    # An explicit base_seed beats the config's seed.
-    override = run(
-        base_seed=42,
-        config=EngineConfig(k=K, budget_per_round=BUDGET, seed=7),
-    )
-    for trial_old, trial_new in zip(
-        via_base_seed.estimates["RS"], override.estimates["RS"]
-    ):
-        _assert_streams_equal(trial_old, trial_new)

@@ -172,49 +172,6 @@ def test_stress_concurrent_observers_under_churn():
     assert engine.budget_ledger() == unobserved[4]
 
 
-class _PlaneProbe:
-    """Estimator stub that records the data plane its round ran under."""
-
-    def __init__(self, interface, sink):
-        self.interface = interface
-        self.on_query = None
-        self._sink = sink
-
-    def run_round(self):
-        from repro.hiddendb.store import get_data_plane
-
-        self._sink.append(get_data_plane())
-        return RoundReport(
-            round_index=self.interface.current_round,
-            estimates={"count": 0.0},
-            variances={"count": 0.0},
-            queries_used=0,
-        )
-
-
-def test_round_inherits_callers_plane_override():
-    """A caller-scoped context-local plane override reaches every task of
-    a round run by an engine that pins no plane of its own."""
-    from repro.hiddendb.store import overriding_data_plane
-
-    source = _fig_source()
-    engine = Engine(
-        EngineConfig(k=5, budget_per_round=10, seed=0),  # no plane pinned
-        schema=source.schema,
-    )
-    engine.load(source.batch_columns(100))
-    seen: list[str] = []
-    for name in ("a", "b"):
-        engine.submit(EstimationTask(
-            name,
-            [count_all()],
-            lambda interface, specs, **options: _PlaneProbe(interface, seen),
-        ))
-    with overriding_data_plane("scalar"):
-        engine.run_round()
-    assert seen == ["scalar", "scalar"]
-
-
 # ----------------------------------------------------------------------
 # Cross-thread staleness detection
 # ----------------------------------------------------------------------
@@ -223,7 +180,7 @@ def test_stale_result_error_across_threads():
     store raises StaleResultError instead of silently reflecting
     post-query state."""
     source = _fig_source()
-    config = EngineConfig(data_plane="vectorized", k=10, seed=2)
+    config = EngineConfig(k=10, seed=2)
     engine = Engine(config, schema=source.schema)
     engine.load(source.batch_columns(300))
     interface = TopKInterface(engine.db, k=10)

@@ -70,11 +70,6 @@ class TestBackwardCompatibility:
         assert issubclass(UnknownTaskError, ExperimentError)
         assert issubclass(DuplicateTaskError, ExperimentError)
 
-    def test_wire_format_error_is_a_value_error(self):
-        # Deprecation bridge (one release): wire decode used to raise
-        # bare ValueError.
-        assert issubclass(WireFormatError, ValueError)
-
     def test_everything_is_a_repro_error(self):
         for cls in EXPECTED:
             assert issubclass(cls, ReproError)
@@ -156,5 +151,8 @@ class TestRehydration:
     def test_rehydrated_errors_are_catchable_as_before(self):
         with pytest.raises(ExperimentError):
             raise error_from_wire(wire_error(UnknownTaskError("x")))
-        with pytest.raises(ValueError):
-            raise error_from_wire(wire_error(WireFormatError("x")))
+        rebuilt = error_from_wire(wire_error(WireFormatError("x")))
+        with pytest.raises(ReproError) as caught:
+            raise rebuilt
+        assert caught.value.code == "WIRE_INVALID"
+        assert not isinstance(rebuilt, ValueError)

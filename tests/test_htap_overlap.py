@@ -3,7 +3,7 @@
 The contracts under test (the epoch split):
 
 * ``EngineConfig(overlap=True)`` is **bit-identical** to sequential mode
-  on every data plane — estimators read the published
+  — estimators read the published
   :class:`~repro.hiddendb.epoch.StoreEpoch` and churn lands on the live
   store, becoming visible exactly at the next publish flip.
 * Estimator queries run *concurrently* with ``apply_round`` churn, and
@@ -41,16 +41,10 @@ def _fig_source(seed: int = 7):
     )
 
 
-def _run_engine(
-    overlap: bool,
-    plane: str | None = None,
-    rounds: int = 3,
-    n: int = 1200,
-):
+def _run_engine(overlap: bool, rounds: int = 3, n: int = 1200):
     """One seeded multi-tenant churn run; returns every observable output."""
     source = _fig_source()
     config = EngineConfig(
-        data_plane=plane,
         overlap=overlap,
         k=10,
         budget_per_round=60,
@@ -85,13 +79,10 @@ def _run_engine(
 # Overlap mode is bit-identical to sequential, everywhere
 # ----------------------------------------------------------------------
 # Case ids are kept stable across releases so per-case results compare.
-@pytest.mark.parametrize(
-    "plane", ["vectorized", "scalar"],
-    ids=["blocked-None-vectorized", "blocked-None-scalar"],
-)
-def test_overlap_bit_identical_to_sequential(plane):
-    sequential = _run_engine(False, plane)
-    overlapped = _run_engine(True, plane)
+@pytest.mark.parametrize("rounds", [3], ids=["blocked-None-vectorized"])
+def test_overlap_bit_identical_to_sequential(rounds):
+    sequential = _run_engine(False, rounds)
+    overlapped = _run_engine(True, rounds)
     assert sequential == overlapped
 
 

