@@ -18,12 +18,7 @@ from ..core.estimators.registry import (
     register_estimator,
     resolve_estimator,
 )
-from ..obs import (
-    OBS,
-    get_default_observability,
-    set_default_observability,
-    using_observability,
-)
+from ..obs import OBS
 from .config import SEED_POLICIES, EngineConfig
 from .engine import GAP_TASK, Engine, EstimationTask, ReportGap, TaskHandle
 from .persistence import has_snapshot, load_engine, save_engine
@@ -41,9 +36,6 @@ __all__ = [
     "load_engine",
     "save_engine",
     "available_estimators",
-    "get_default_observability",
     "register_estimator",
     "resolve_estimator",
-    "set_default_observability",
-    "using_observability",
 ]

@@ -3,29 +3,18 @@
 Before :mod:`repro.api`, the knobs of a simulation were threaded ad hoc:
 an interface ``k`` here, a ``budget_per_round`` there, and environment
 variables that could silently override program decisions.
-:class:`EngineConfig` consolidates them.  The one knob that still has a
-process default, ``observability``, resolves in a documented precedence
-order, highest first:
-
-1. **Explicit config field** — a non-``None`` value on the
-   :class:`EngineConfig` an :class:`~repro.api.engine.Engine` was built
-   with.
-2. **Process-wide programmatic default** — ``set_default_observability``
-   (or its scoped ``using_observability`` twin).
-3. **Environment variable** — ``REPRO_OBS``.  It is a *default only*: it
-   never overrides levels 1–2.
-4. **Built-in default** — observability off.
+:class:`EngineConfig` consolidates them, and no knob has a process
+default or an environment variable behind it.  Observability is not an
+engine knob: the metrics registry is process-global, so its one switch
+is ``repro.obs.OBS.enable()`` / ``OBS.disable()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
-from typing import Iterator
 from zlib import crc32
 
 from ..errors import ExperimentError
-from ..obs import get_default_observability, using_observability
 
 #: How per-task estimator seeds derive from :attr:`EngineConfig.seed` when
 #: a task does not pin one explicitly.
@@ -73,14 +62,6 @@ class EngineConfig:
         ``docs/format.md``).  ``Engine.save()`` defaults to it.  ``None``
         (default) = no durable directory; snapshots then need an explicit
         path.
-    observability:
-        Enable the :mod:`repro.obs` metrics/tracing plane for engines
-        built with this config (see ``docs/observability.md``).  ``None``
-        defers to the process default
-        (:func:`repro.obs.set_default_observability` > ``REPRO_OBS`` env
-        var > off).  Estimates are bit-identical either way; enabling is
-        engine-wide (the registry is process-global) and an engine never
-        *disables* a registry another engine enabled.
     """
 
     k: int = 100
@@ -90,13 +71,8 @@ class EngineConfig:
     overlap: bool = False
     report_log_limit: int | None = None
     store_dir: str | None = None
-    observability: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.observability is not None and not isinstance(
-            self.observability, bool
-        ):
-            raise ExperimentError("observability must be a bool or None")
         if self.k < 1:
             raise ExperimentError("k must be at least 1")
         if self.budget_per_round < 1:
@@ -108,27 +84,6 @@ class EngineConfig:
                 f"unknown seed policy {self.seed_policy!r}; "
                 f"available: {', '.join(SEED_POLICIES)}"
             )
-
-    # ------------------------------------------------------------------
-    # Resolution against the process-wide defaults (precedence levels 2-4)
-    # ------------------------------------------------------------------
-    def resolved_observability(self) -> bool:
-        """Whether this config enables the observability plane, after the
-        precedence order (explicit field > ``set_default_observability``
-        > ``REPRO_OBS`` > off)."""
-        return self.observability if self.observability is not None else (
-            get_default_observability()
-        )
-
-    @contextmanager
-    def apply(self) -> Iterator["EngineConfig"]:
-        """Scope the process observability default to this config's choice.
-
-        ``None`` leaves the default untouched, so wrapping legacy code in
-        ``config.apply()`` is always safe.
-        """
-        with using_observability(self.observability):
-            yield self
 
     def task_seed(self, task_name: str, explicit: int | None = None) -> int:
         """The estimator seed for a named task under the seed policy."""
@@ -160,8 +115,10 @@ class EngineConfig:
 
         Forward tolerant (the wire versioning policy of
         :mod:`repro.core.wire`): unknown keys — fields added by a newer
-        producer, plus ``schema_version`` itself — are ignored, and a
-        payload without a version is read as the pre-versioning v0 form.
+        producer, fields an older build wrote (``observability``,
+        ``data_plane``, ...), and ``schema_version`` itself — are
+        ignored, and a payload without a version is read as the
+        pre-versioning v0 form.
         Known fields still validate through ``__post_init__``, so
         tolerance never admits an invalid config.
         """

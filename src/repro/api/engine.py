@@ -60,7 +60,7 @@ from .config import EngineConfig
 GAP_TASK = "__gap__"
 
 # Import-time observability handles (see repro.obs); per-task handles are
-# created once per submit and cached on the TaskHandle.
+# created once per submit, cached on the TaskHandle, and retired by cancel.
 _ROUNDS_TOTAL = OBS.counter("repro_rounds_total")
 _ROUND_SECONDS = OBS.histogram("repro_round_seconds")
 
@@ -289,10 +289,6 @@ class Engine:
         ranking: RankingPolicy | None = None,
     ):
         self.config = config if config is not None else EngineConfig()
-        # Enable-only: the registry is process-global, so one engine
-        # opting in must never switch off another engine's plane.
-        if self.config.resolved_observability():
-            OBS.enable()
         if db is None:
             if schema is None:
                 raise ExperimentError(
@@ -500,12 +496,22 @@ class Engine:
             return handle
 
     def cancel(self, name: str) -> TaskHandle:
-        """Remove a task; its handle (with history) is returned."""
+        """Remove a task; its handle (with history) is returned.
+
+        The task's two per-task metric series leave the registry with
+        it, so submit/cancel churn under fresh names cannot grow it.
+        Retiring them under the session lock keeps a concurrent
+        ``submit`` of the same name from losing its new series.
+        """
         with self._lock:
             try:
-                return self._tasks.pop(name)
+                handle = self._tasks.pop(name)
             except KeyError:
                 raise UnknownTaskError(name) from None
+            labels = {"task": name}
+            OBS.remove("repro_round_task_seconds", labels)
+            OBS.remove("repro_budget_spent_total", labels)
+            return handle
 
     # ------------------------------------------------------------------
     # Execution
@@ -546,11 +552,10 @@ class Engine:
             return self._run_round_inner(tasks)
         _ROUNDS_TOTAL.inc()
         started = perf_counter()
-        with OBS.span("engine.run_round"):
-            try:
-                return self._run_round_inner(tasks)
-            finally:
-                _ROUND_SECONDS.observe(perf_counter() - started)
+        try:
+            return self._run_round_inner(tasks)
+        finally:
+            _ROUND_SECONDS.observe(perf_counter() - started)
 
     def _run_round_inner(
         self, tasks: Sequence[str] | None
@@ -611,12 +616,11 @@ class Engine:
     def _run_observed(
         self, handle: TaskHandle, epoch: StoreEpoch | None
     ) -> RoundReport:
-        """:meth:`_run_estimator` under a ``round.task`` span, feeding the
-        task's wall time to its per-task histogram."""
+        """:meth:`_run_estimator`, feeding the task's wall time to its
+        per-task histogram."""
         task_started = perf_counter()
         try:
-            with OBS.span("round.task"):
-                return self._run_estimator(handle, epoch)
+            return self._run_estimator(handle, epoch)
         finally:
             handle._obs_task_seconds.observe(perf_counter() - task_started)
 

@@ -6,9 +6,9 @@ Installed as ``repro-experiments``::
     repro-experiments run fig02 --scale 0.1 --trials 3
     repro-experiments run all --out results.txt
 
-The CLI is a thin client of :mod:`repro.api`: the flags populate one
-:class:`~repro.api.EngineConfig` whose scope every figure driver's engine
-inherits.
+Each ``run`` flag (``--scale``, ``--trials``, ``--rounds``, ``--budget``,
+``--seed``) is passed to the figure driver as a keyword argument when the
+driver's signature accepts it, and is ignored otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import inspect
 import sys
 import time
 
-from ..api import EngineConfig
-from ..obs import OBS, format_span_tree
 from .figures import FIGURES
 
 
@@ -44,13 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int, default=None,
                      help="per-round query budget G")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the repro.obs observability plane and print a "
-             "per-phase span tree after each figure (estimates are "
-             "bit-identical with or without it)",
-    )
     run.add_argument("--out", default=None, help="append output to a file")
     return parser
 
@@ -95,24 +86,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     targets = list(FIGURES) if args.figure == "all" else [args.figure]
     chunks = []
-    # One config object carries every knob; applying it scopes the process
-    # defaults that the figure drivers' engines then inherit.
-    config = EngineConfig(observability=True if args.profile else None)
-    with config.apply():
-        for figure_id in targets:
-            if args.profile:
-                # Fresh counters and span log per figure, so each printed
-                # profile covers exactly one figure run.
-                OBS.reset()
-            text = _run_one(figure_id, args)
-            if args.profile:
-                text += (
-                    f"\n-- profile: {figure_id} "
-                    f"(spans dropped: {OBS.spans.dropped}) --\n"
-                    f"{format_span_tree(OBS.spans.records())}\n"
-                )
-            print(text)
-            chunks.append(text)
+    for figure_id in targets:
+        text = _run_one(figure_id, args)
+        print(text)
+        chunks.append(text)
     if args.out:
         with open(args.out, "a", encoding="utf-8") as handle:
             handle.write("\n".join(chunks))

@@ -28,7 +28,6 @@ from ..data.schedules import IntraRoundDriver, UpdateSchedule, apply_round
 from ..errors import EstimationError, ExperimentError
 from ..hiddendb.database import HiddenDatabase
 from ..hiddendb.schema import Schema
-from ..obs import OBS
 from .ground_truth import GroundTruthTracker
 from .metrics import ExperimentResult
 
@@ -122,10 +121,6 @@ class Experiment:
         )
         self.intra_round = intra_round
 
-    def _build_env(self, seed: int) -> Env:
-        with self.config.apply(), OBS.span("experiment.env_build"):
-            return self.env_factory(seed)
-
     def _engine(self, db: HiddenDatabase) -> Engine:
         return Engine(self.config, db=db)
 
@@ -135,12 +130,10 @@ class Experiment:
         result: ExperimentResult | None = None
         for trial in range(self.trials):
             seed = self.config.seed + 1000 * trial
-            with OBS.span("experiment.trial"):
-                if self.intra_round:
-                    trial_result = self._run_trial_intra(seed, trial, result)
-                else:
-                    trial_result = self._run_trial_round(seed, trial, result)
-            result = trial_result
+            if self.intra_round:
+                result = self._run_trial_intra(seed, trial, result)
+            else:
+                result = self._run_trial_round(seed, trial, result)
         assert result is not None
         return result
 
@@ -166,7 +159,7 @@ class Experiment:
     def _run_trial_round(
         self, seed: int, trial: int, result: ExperimentResult | None
     ) -> ExperimentResult:
-        db, schedule = self._build_env(seed)
+        db, schedule = self.env_factory(seed)
         specs = list(self.specs_factory(db.schema))
         if result is None:
             result = self._make_result(specs)
@@ -201,7 +194,7 @@ class Experiment:
         specs_for_result: Sequence[AnySpec] | None = None
         round_ids: list[int] = []
         for index, factory in enumerate(self.estimators):
-            db, schedule = self._build_env(seed)
+            db, schedule = self.env_factory(seed)
             specs = list(self.specs_factory(db.schema))
             specs_for_result = specs
             engine = self._engine(db)

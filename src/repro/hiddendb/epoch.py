@@ -205,7 +205,6 @@ class StoreEpoch(TupleStore):
         self._size = store._size
         # Frozen forever: pages pinned to this epoch can never go stale.
         self._epoch = store._epoch
-        self._read_cache = (store._epoch, {})
         self._indexes = {
             key: FrozenPrefixIndex(index)
             for key, index in store._indexes.items()
@@ -229,9 +228,6 @@ class StoreEpoch(TupleStore):
 
     def replace(self, t) -> None:
         _frozen("replace in a published epoch")
-
-    def bulk_insert(self, tuples) -> int:
-        _frozen("bulk_insert into a published epoch")
 
     def bulk_delete(self, tids):
         _frozen("bulk_delete from a published epoch")

@@ -91,19 +91,6 @@ class InterfaceStats:
         if OBS.enabled:
             _STATUS_COUNTERS[status].inc()
 
-    def merge(self, other: "InterfaceStats") -> None:
-        """Fold another stats object into this one (both stay valid).
-
-        Snapshots ``other`` first, then adds under this instance's lock —
-        never holding both, so concurrent merges cannot deadlock.
-        """
-        snapshot = other.to_dict()
-        with self._lock:
-            self.queries += snapshot["queries"]
-            self.underflow += snapshot["underflow"]
-            self.valid += snapshot["valid"]
-            self.overflow += snapshot["overflow"]
-
     def to_dict(self) -> dict[str, int]:
         """Consistent counter snapshot (stable keys)."""
         with self._lock:

@@ -791,9 +791,8 @@ class TupleStore:
     **Reader-concurrency contract:** any number of threads may read
     concurrently (``get`` / ``gather`` / ``scan_match`` / ``tuples`` /
     index queries) — readers never block each other and every lazy
-    read-side structure is safe to race on: the :class:`HiddenTuple` read
-    cache is an immutable-per-epoch snapshot (see :meth:`get`), heap
-    blocks publish their lazy list twins in a GIL-ordered sequence, and
+    read-side structure is safe to race on: heap blocks publish their
+    lazy list twins in a GIL-ordered sequence, and
     :meth:`ensure_index` double-checks under a build lock so concurrent
     first-queries of one attribute order build its index exactly once.
     Mutations (insert/delete/replace/bulk) must be externally serialized
@@ -810,12 +809,6 @@ class TupleStore:
         # Bumped on every content mutation; deferred result pages capture
         # it at query time so a late read can detect staleness.
         self._epoch = 0
-        # Materialization cache for block rows: repeat point reads (the
-        # estimators drill overlapping trees) skip locate+materialize.
-        # One immutable-identity snapshot per mutation epoch — readers
-        # validate the epoch tag instead of writers evicting entries, so
-        # the read path needs no lock (see :meth:`get`).
-        self._read_cache: tuple[int, dict[int, HiddenTuple]] = (0, {})
         self._indexes: dict[tuple[int, ...], PrefixIndex] = {}
         # Serializes index *builds* only; reads of ``_indexes`` stay
         # lock-free (GIL-atomic dict lookups on an insert-only dict).
@@ -862,36 +855,15 @@ class TupleStore:
     def __contains__(self, tid: int) -> bool:
         return tid in self._tuples or self._find_block(tid) is not None
 
-    def _cache_snapshot(self) -> dict[int, HiddenTuple]:
-        """The read cache for the current epoch (fresh if the store moved).
-
-        Lock-free for readers: the ``(epoch, dict)`` pair is swapped as
-        one reference, stale snapshots are discarded wholesale instead of
-        being evicted entry by entry, and a racing swap at worst loses a
-        few cached materializations — never correctness.
-        """
-        epoch = self._epoch
-        cache_epoch, cache = self._read_cache
-        if cache_epoch != epoch:
-            cache = {}
-            self._read_cache = (epoch, cache)
-        return cache
-
     def get(self, tid: int) -> HiddenTuple:
         found = self._tuples.get(tid)
-        if found is not None:
-            return found
-        cache = self._cache_snapshot()
-        found = cache.get(tid)
         if found is not None:
             return found
         located = self._find_block(tid)
         if located is None:
             raise KeyError(tid)
         block, row = located
-        t = block.materialize(row)
-        cache[tid] = t
-        return t
+        return block.materialize(row)
 
     def tuples(self) -> Iterator[HiddenTuple]:
         """Iterate over all stored tuples (blocks first, then the dict)."""
@@ -1148,9 +1120,7 @@ class TupleStore:
             if located is None:
                 raise KeyError(tid)
             block, row = located
-            # The epoch bump below retires the whole read-cache snapshot,
-            # so a still-cached materialization only saves rebuild work.
-            t = self._cache_snapshot().get(tid) or block.materialize(row)
+            t = block.materialize(row)
             block.kill(row)
             if block.alive_count == 0:
                 self._drop_block(block)
@@ -1206,15 +1176,6 @@ class TupleStore:
             if dels:
                 index.bulk_remove(dels)
 
-    def bulk_insert(self, tuples: Iterable[HiddenTuple]) -> int:
-        """Insert many tuples, paying one index merge for the whole batch."""
-        count = 0
-        with self.bulk():
-            for t in tuples:
-                self.insert(t)
-                count += 1
-        return count
-
     def bulk_delete(self, tids: Iterable[int]) -> list[HiddenTuple]:
         """Delete many tids, paying one index merge for the whole batch."""
         with self.bulk():
@@ -1248,8 +1209,6 @@ class TupleStore:
             block.batch.scores[row] = t.score
             if block._score_list is not None:
                 block._score_list[row] = t.score
-            # The epoch bump below invalidates the read-cache snapshot
-            # that may hold the pre-replace materialization.
         else:
             self._tuples[t.tid] = t
         self._epoch += 1

@@ -1,63 +1,39 @@
 """``repro.obs`` — the engine-wide observability plane.
 
-A zero-dependency metrics/tracing substrate shared by every layer:
+A zero-dependency metrics substrate shared by every layer:
 
 * :data:`OBS` — the process-global :class:`MetricsRegistry` of counters,
-  gauges and histograms.  Handles are cheap, thread-safe (GIL-coalesced
+  gauges and histograms.  ``OBS.enable()`` / ``OBS.disable()`` is the one
+  on/off switch.  Handles are cheap, thread-safe (GIL-coalesced
   increments), and a *disabled* registry costs one attribute check on hot
   paths (``if OBS.enabled: ...``).
-* Span tracing — ``with OBS.span("round.publish_flip"): ...`` builds
-  parent/child timing records, exportable as JSONL or rendered as a
-  profile tree (:func:`format_span_tree`).
 * Exports — strict-JSON :meth:`MetricsRegistry.snapshot` (stamped via
   ``repro.core.wire``), Prometheus text via
   :meth:`MetricsRegistry.to_prometheus` (served at ``/v1/metrics``), and
   derived headline numbers via :meth:`MetricsRegistry.summary`.
 
-Metric names live in a static :data:`CATALOG` (typo-proof, doc-synced);
-extensions add names with :func:`register_metric` before creating
-handles.  Instrumentation never touches estimator randomness, so results
-are bit-identical with observability on or off.
+Metric names live in a static :data:`CATALOG` (typo-proof, doc-synced).
+Instrumentation never touches estimator randomness, so results are
+bit-identical with observability on or off.
 """
 
-from .catalog import CATALOG, KINDS, kind_of
-from .catalog import register as register_metric
+from .catalog import CATALOG, kind_of
 from .registry import (
     OBS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    SIZE_BUCKETS,
     TIME_BUCKETS,
-    get_default_observability,
-    set_default_observability,
-    using_observability,
-)
-from .spans import (
-    DEFAULT_SPAN_LIMIT,
-    NULL_SPAN,
-    SpanLog,
-    format_span_tree,
 )
 
 __all__ = [
     "CATALOG",
     "Counter",
-    "DEFAULT_SPAN_LIMIT",
     "Gauge",
     "Histogram",
-    "KINDS",
     "MetricsRegistry",
-    "NULL_SPAN",
     "OBS",
-    "SIZE_BUCKETS",
-    "SpanLog",
     "TIME_BUCKETS",
-    "format_span_tree",
-    "get_default_observability",
     "kind_of",
-    "register_metric",
-    "set_default_observability",
-    "using_observability",
 ]

@@ -8,17 +8,11 @@ One table, checked in two directions:
 * ``tools/check_docs.py`` cross-checks the catalog against
   ``docs/observability.md``, so the documented metric list cannot drift
   from the code in either direction.
-
-Extensions register their own names through :func:`register` before
-creating handles (mirroring the estimator registry).
 """
 
 from __future__ import annotations
 
 from ..errors import ExperimentError
-
-#: Metric kinds a registry entry may declare.
-KINDS = ("counter", "gauge", "histogram")
 
 #: ``name -> (kind, help text)`` for every engine-emitted metric.
 CATALOG: dict[str, tuple[str, str]] = {
@@ -80,25 +74,5 @@ def kind_of(name: str) -> str:
         return CATALOG[name][0]
     except KeyError:
         raise ExperimentError(
-            f"metric {name!r} is not in the observability catalog; "
-            f"register it via repro.obs.register_metric"
+            f"metric {name!r} is not in the observability catalog"
         ) from None
-
-
-def register(name: str, kind: str, help_text: str) -> None:
-    """Catalog an extension metric so the registry will accept it.
-
-    Re-registering an existing name with the same kind is a no-op (so
-    modules can register idempotently at import time); changing the kind
-    of a cataloged name raises.
-    """
-    if kind not in KINDS:
-        raise ExperimentError(
-            f"unknown metric kind {kind!r}; available: {', '.join(KINDS)}"
-        )
-    existing = CATALOG.get(name)
-    if existing is not None and existing[0] != kind:
-        raise ExperimentError(
-            f"metric {name!r} is already cataloged as a {existing[0]}"
-        )
-    CATALOG[name] = (kind, help_text)

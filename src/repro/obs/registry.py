@@ -27,26 +27,17 @@ low-cardinality dicts (``{"status": "overflow"}``) keyed Prometheus-style.
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_right
-from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..errors import ExperimentError
 from .catalog import kind_of
-from .spans import NULL_SPAN, SpanLog, _Span, _NullSpan
 
 #: Latency histogram bounds, seconds (upper edges; +Inf is implicit).
 TIME_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-#: Size histogram bounds (rows per merge etc.), powers of four.
-SIZE_BUCKETS = (
-    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
-    65536.0, 262144.0, 1048576.0,
 )
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -159,7 +150,6 @@ class MetricsRegistry:
         self.enabled = False
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, LabelKey], object] = {}
-        self.spans = SpanLog()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -171,11 +161,10 @@ class MetricsRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Zero every metric in place (handles stay valid) + clear spans."""
+        """Zero every metric in place (handles stay valid)."""
         with self._lock:
             for metric in self._metrics.values():
                 metric._reset()
-        self.spans.clear()
 
     # ------------------------------------------------------------------
     # Handles (get-or-create; call once and cache on hot paths)
@@ -206,25 +195,18 @@ class MetricsRegistry:
         return self._get(Gauge, "gauge", name, labels)
 
     def histogram(
-        self,
-        name: str,
-        labels: Mapping | None = None,
-        buckets: tuple | None = None,
+        self, name: str, labels: Mapping | None = None
     ) -> Histogram:
-        if buckets is None:
-            buckets = (
-                TIME_BUCKETS if name.endswith("_seconds") else SIZE_BUCKETS
-            )
-        return self._get(Histogram, "histogram", name, labels, buckets)
+        return self._get(Histogram, "histogram", name, labels, TIME_BUCKETS)
 
-    # ------------------------------------------------------------------
-    # Spans
-    # ------------------------------------------------------------------
-    def span(self, name: str) -> "_Span | _NullSpan":
-        """A timed scope (no-op shared instance while disabled)."""
-        if not self.enabled:
-            return NULL_SPAN
-        return self.spans.span(name)
+    def remove(self, name: str, labels: Mapping | None = None) -> None:
+        """Retire one series (a no-op when it does not exist).
+
+        Handles already cached on it stay usable, but they no longer
+        appear in snapshots; a later get-or-create starts a fresh series.
+        """
+        with self._lock:
+            self._metrics.pop((name, _label_key(labels)), None)
 
     # ------------------------------------------------------------------
     # Exports
@@ -267,10 +249,6 @@ class MetricsRegistry:
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "spans": {
-                "recorded": len(self.spans),
-                "dropped": self.spans.dropped,
-            },
         })
 
     def summary(self) -> dict:
@@ -343,49 +321,3 @@ class MetricsRegistry:
 #: The process-global registry.  Never replaced — only enabled, disabled,
 #: or reset in place — so handles cached at import time stay valid.
 OBS = MetricsRegistry()
-
-
-# ----------------------------------------------------------------------
-# Config precedence (level 2/3 of the EngineConfig knob order)
-# ----------------------------------------------------------------------
-#: Process-wide programmatic default for ``EngineConfig(observability=None)``
-#: (level 2); ``None`` falls through to the ``REPRO_OBS`` env var.
-_default_observability: bool | None = None
-
-
-def get_default_observability() -> bool:
-    """The observability default engines resolve against:
-    ``set_default_observability`` > ``REPRO_OBS`` env var > off."""
-    if _default_observability is not None:
-        return _default_observability
-    env = os.environ.get("REPRO_OBS")
-    if env is not None:
-        return env.strip().lower() in ("1", "true", "on", "yes")
-    return False
-
-
-def set_default_observability(value: bool | None) -> bool | None:
-    """Set the process-wide default (``None`` = defer to the env var);
-    returns the previous programmatic default."""
-    global _default_observability
-    previous = _default_observability
-    _default_observability = value
-    return previous
-
-
-@contextmanager
-def using_observability(value: bool | None) -> Iterator[bool]:
-    """Scope the observability default — and, for an explicit ``True`` /
-    ``False``, the registry's enabled state (``None`` leaves both
-    untouched).  Restores both on exit."""
-    if value is None:
-        yield get_default_observability()
-        return
-    previous_default = set_default_observability(value)
-    previous_enabled = OBS.enabled
-    OBS.enabled = bool(value)
-    try:
-        yield bool(value)
-    finally:
-        set_default_observability(previous_default)
-        OBS.enabled = previous_enabled

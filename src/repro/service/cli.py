@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retained reports per task / engine log")
     engine.add_argument(
         "--observability", choices=("on", "off"), default="on",
-        help="repro.obs metrics/tracing plane (default %(default)s; "
+        help="repro.obs metrics plane (default %(default)s; "
              "estimates are bit-identical either way) — serves "
              "Prometheus text at GET /v1/metrics",
     )
@@ -138,12 +138,9 @@ def build_app(args: argparse.Namespace) -> ServiceApp:
         total_queries_per_window=args.total_queries_per_window,
         max_tenants=args.max_tenants,
     ))
-    observability = args.observability == "on"
+    if args.observability == "on":
+        OBS.enable()
     if args.store_dir is not None and has_snapshot(args.store_dir):
-        if observability:
-            # The restored engine's saved config decides nothing here:
-            # the flag is this process's explicit choice.
-            OBS.enable()
         return ServiceApp.restore(
             args.store_dir,
             governor=governor,
@@ -168,7 +165,6 @@ def build_app(args: argparse.Namespace) -> ServiceApp:
         overlap=args.overlap,
         report_log_limit=args.report_log_limit,
         store_dir=args.store_dir,
-        observability=observability,
     )
     engine = Engine(config, schema=source.schema)
     engine.load(source.batch_columns(args.rows))

@@ -334,9 +334,10 @@ class TelemetryResponse(WireForm):
     """``GET /v1/telemetry`` response: the governor's usage snapshots plus
     the engine's observability snapshot.
 
-    ``governor`` keeps its pre-PR-9 shape for one release; ``metrics`` is
-    the stamped :meth:`repro.api.Engine.metrics` payload (old clients
-    ignore it — ``WireForm.from_wire`` is forward-tolerant)."""
+    ``governor`` is the per-tenant usage view (no metric carries the
+    governor's windows); ``metrics`` is the stamped
+    :meth:`repro.api.Engine.metrics` payload (old clients ignore it —
+    ``WireForm.from_wire`` is forward-tolerant)."""
 
     round_index: int
     governor: dict = dataclasses.field(default_factory=dict)

@@ -3,7 +3,8 @@
 Also implements the ``slow`` marker policy: many-trial statistical tests
 are skipped in the default (tier-1) run and selected explicitly with
 ``pytest -m slow`` or ``REPRO_RUN_SLOW=1`` (the CI coverage job sets the
-latter so coverage includes them).
+latter so coverage includes them), and restores the process-global
+observability switch after every test.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro import Attribute, HiddenDatabase, Schema, TopKInterface
 from repro.hiddendb.session import QuerySession
+from repro.obs import OBS
 
 
 def pytest_collection_modifyitems(config, items):
@@ -29,6 +31,19 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(autouse=True)
+def _restore_observability_switch():
+    """Leave ``OBS.enabled`` as the test found it: ``build_app`` and other
+    callers switch the process-global registry on, and later modules must
+    not run in a mode that depends on file order."""
+    enabled = OBS.enabled
+    yield
+    if enabled:
+        OBS.enable()
+    else:
+        OBS.disable()
 
 
 @pytest.fixture

@@ -1,9 +1,8 @@
 """Unit tests for the ``repro.obs`` observability plane.
 
 Registry semantics (get-or-create handles, catalog enforcement, reset in
-place), span tracing (nesting, bounded log, tree formatting), exports
-(strict-JSON snapshot, Prometheus text exposition), the configuration
-precedence helpers, and the race-safe :class:`InterfaceStats` counters.
+place, series removal), exports (strict-JSON snapshot, Prometheus text
+exposition), and the race-safe :class:`InterfaceStats` counters.
 """
 
 from __future__ import annotations
@@ -16,20 +15,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.hiddendb.interface import InterfaceStats, QueryStatus
-from repro.obs import (
-    CATALOG,
-    OBS,
-    SIZE_BUCKETS,
-    TIME_BUCKETS,
-    MetricsRegistry,
-    SpanLog,
-    format_span_tree,
-    get_default_observability,
-    kind_of,
-    register_metric,
-    set_default_observability,
-    using_observability,
-)
+from repro.obs import CATALOG, OBS, TIME_BUCKETS, MetricsRegistry, kind_of
 
 
 @pytest.fixture(autouse=True)
@@ -37,11 +23,9 @@ def _pristine_obs():
     """Leave the global registry disabled and zeroed around every test."""
     OBS.reset()
     OBS.disable()
-    previous = set_default_observability(None)
     yield
     OBS.reset()
     OBS.disable()
-    set_default_observability(previous)
 
 
 # ----------------------------------------------------------------------
@@ -53,18 +37,6 @@ def test_kind_of_known_and_unknown():
     assert kind_of("repro_epoch_pinned_readers") == "gauge"
     with pytest.raises(ExperimentError):
         kind_of("repro_nonexistent_total")
-
-
-def test_register_metric_idempotent_and_kind_locked():
-    register_metric("repro_test_ext_total", "counter", "An extension.")
-    assert kind_of("repro_test_ext_total") == "counter"
-    # Same kind again: no-op.
-    register_metric("repro_test_ext_total", "counter", "Again.")
-    with pytest.raises(ExperimentError):
-        register_metric("repro_test_ext_total", "gauge", "Flip.")
-    with pytest.raises(ExperimentError):
-        register_metric("repro_test_bad", "meter", "Unknown kind.")
-    CATALOG.pop("repro_test_ext_total")
 
 
 def test_registry_rejects_uncataloged_and_wrong_kind():
@@ -92,23 +64,25 @@ def test_get_or_create_returns_same_handle():
 
 
 def test_histogram_bucket_defaults_by_suffix():
-    register_metric("repro_test_ext_rows", "histogram", "Rows per batch.")
-    try:
-        registry = MetricsRegistry()
-        seconds = registry.histogram("repro_round_seconds")
-        rows = registry.histogram("repro_test_ext_rows", {"op": "add"})
-        assert seconds.bounds == TIME_BUCKETS
-        assert rows.bounds == SIZE_BUCKETS
-        rows.observe(3.0)
-        rows.observe(1000.0)
-        # bisect places 3.0 above le=1, 1000 above le=256.
-        assert rows.count == 2
-        assert rows.total == 1003.0
-        assert rows.counts[1] == 1  # (1, 4]
-        assert sum(rows.counts) == 2
-        assert rows.mean == 501.5
-    finally:
-        CATALOG.pop("repro_test_ext_rows")
+    # Every cataloged histogram is a ``*_seconds`` latency metric, so one
+    # bucket set (latency) serves them all.
+    assert all(
+        name.endswith("_seconds")
+        for name, (kind, _help) in CATALOG.items()
+        if kind == "histogram"
+    )
+    registry = MetricsRegistry()
+    seconds = registry.histogram("repro_round_task_seconds", {"task": "t"})
+    assert seconds.bounds == TIME_BUCKETS
+    seconds.observe(0.0625)
+    seconds.observe(0.375)
+    assert seconds.count == 2
+    assert seconds.total == 0.4375
+    # bisect places 0.0625 in (0.05, 0.1] and 0.375 in (0.25, 0.5].
+    assert seconds.counts[TIME_BUCKETS.index(0.1)] == 1
+    assert seconds.counts[TIME_BUCKETS.index(0.5)] == 1
+    assert sum(seconds.counts) == 2
+    assert seconds.mean == 0.21875
 
 
 def test_reset_zeroes_in_place_and_handles_stay_valid():
@@ -122,64 +96,20 @@ def test_reset_zeroes_in_place_and_handles_stay_valid():
     assert counter.value == 1
 
 
-# ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-def test_spans_nest_and_record_parent_ids():
+def test_remove_retires_one_series():
     registry = MetricsRegistry()
-    registry.enable()
-    with registry.span("engine.run_round"):
-        with registry.span("round.task"):
-            pass
-        with registry.span("round.task"):
-            pass
-    records = registry.spans.records()
-    assert [r["name"] for r in records] == [
-        "round.task", "round.task", "engine.run_round",
-    ]
-    root = records[-1]
-    assert root["parent"] is None
-    assert all(r["parent"] == root["id"] for r in records[:2])
-    assert all(r["seconds"] >= 0.0 for r in records)
-    tree = format_span_tree(records)
-    assert "engine.run_round" in tree
-    assert "  round.task" in tree  # child line indents under its root
-    assert "x2" in tree  # the two task spans collapse into one line
-
-
-def test_disabled_span_is_shared_noop():
-    registry = MetricsRegistry()
-    a = registry.span("x")
-    b = registry.span("y")
-    assert a is b
-    with a:
-        pass
-    assert len(registry.spans) == 0
-
-
-def test_span_log_bounded_with_drop_count():
-    log = SpanLog(limit=4)
-    for _ in range(6):
-        with log.span("s"):
-            pass
-    assert len(log) == 4
-    assert log.dropped == 2
-    log.clear()
-    assert len(log) == 0
-    assert log.dropped == 0
-
-
-def test_span_log_jsonl_round_trips():
-    log = SpanLog()
-    with log.span("outer"):
-        pass
-    lines = log.to_jsonl().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["name"] == "outer"
-
-
-def test_format_span_tree_empty():
-    assert format_span_tree([]) == "(no spans recorded)"
+    kept = registry.counter("repro_budget_spent_total", {"task": "a"})
+    gone = registry.counter("repro_budget_spent_total", {"task": "b"})
+    gone.inc(3)
+    registry.remove("repro_budget_spent_total", {"task": "b"})
+    registry.remove("repro_budget_spent_total", {"task": "never"})  # no-op
+    [entry] = registry.snapshot()["counters"]
+    assert entry["labels"] == {"task": "a"}
+    # The cached handle stays usable; get-or-create starts a new series.
+    gone.inc()
+    fresh = registry.counter("repro_budget_spent_total", {"task": "b"})
+    assert fresh is not gone and fresh.value == 0
+    assert registry.counter("repro_budget_spent_total", {"task": "a"}) is kept
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +131,6 @@ def test_snapshot_is_strict_json_and_sorted():
     # wire-encoded as a string (repro.core.wire.encode_float).
     assert histogram["buckets"][-1][1] == 1
     assert histogram["buckets"][-1][0] == "inf"
-    assert snap["spans"] == {"recorded": 0, "dropped": 0}
 
 
 def test_summary_headlines():
@@ -258,37 +187,6 @@ def test_label_escaping():
 
 
 # ----------------------------------------------------------------------
-# Precedence helpers
-# ----------------------------------------------------------------------
-def test_default_observability_env_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS", raising=False)
-    assert get_default_observability() is False
-    monkeypatch.setenv("REPRO_OBS", "1")
-    assert get_default_observability() is True
-    monkeypatch.setenv("REPRO_OBS", "off")
-    assert get_default_observability() is False
-    # Programmatic default beats the env var in both directions.
-    set_default_observability(True)
-    assert get_default_observability() is True
-    monkeypatch.setenv("REPRO_OBS", "on")
-    set_default_observability(False)
-    assert get_default_observability() is False
-
-
-def test_using_observability_scopes_default_and_enabled():
-    assert OBS.enabled is False
-    with using_observability(True) as active:
-        assert active is True
-        assert OBS.enabled is True
-        assert get_default_observability() is True
-    assert OBS.enabled is False
-    assert get_default_observability() is False
-    with using_observability(None) as active:  # None = no-op
-        assert active is False
-        assert OBS.enabled is False
-
-
-# ----------------------------------------------------------------------
 # InterfaceStats (satellite: race-safe counters)
 # ----------------------------------------------------------------------
 def test_interface_stats_record_and_to_dict():
@@ -301,31 +199,16 @@ def test_interface_stats_record_and_to_dict():
     }
 
 
-def test_interface_stats_merge():
-    a, b = InterfaceStats(), InterfaceStats()
-    a.record(QueryStatus.VALID)
-    b.record(QueryStatus.OVERFLOW)
-    b.record(QueryStatus.OVERFLOW)
-    a.merge(b)
-    assert a.to_dict() == {
-        "queries": 3, "underflow": 0, "valid": 1, "overflow": 2,
-    }
-    # The source is untouched and still usable.
-    assert b.to_dict()["queries"] == 2
-
-
 def test_interface_stats_concurrent_records_and_merges():
     stats = InterfaceStats()
     per_thread, threads = 500, 8
 
     def pound():
-        local = InterfaceStats()
         for i in range(per_thread):
-            local.record(
+            stats.record(
                 QueryStatus.VALID if i % 2 else QueryStatus.OVERFLOW
             )
             stats.record(QueryStatus.UNDERFLOW)
-        stats.merge(local)
 
     workers = [threading.Thread(target=pound) for _ in range(threads)]
     for worker in workers:
@@ -335,7 +218,7 @@ def test_interface_stats_concurrent_records_and_merges():
     total = stats.to_dict()
     assert total["queries"] == 2 * per_thread * threads
     assert total["underflow"] == per_thread * threads
-    assert total["valid"] + total["overflow"] == per_thread * threads
+    assert total["valid"] == total["overflow"] == per_thread * threads // 2
     # Snapshot invariant: parts always sum to the whole.
     assert (
         total["underflow"] + total["valid"] + total["overflow"]

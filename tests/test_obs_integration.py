@@ -1,10 +1,9 @@
 """Integration tests for the observability plane across the stack.
 
-The tentpole acceptance criteria: estimates are **bit-identical** with
-observability on vs off, ``Engine.metrics()``
-is a stamped strict-JSON document, the config precedence chain resolves as
-documented, the service embeds the snapshot in ``/v1/telemetry`` and
-serves Prometheus text at ``/v1/metrics``.
+Estimates are **bit-identical** with observability on vs off,
+``Engine.metrics()`` is a stamped strict-JSON document, cancelled tasks
+leave no metric series behind, and the service embeds the snapshot in
+``/v1/telemetry`` and serves Prometheus text at ``/v1/metrics``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from repro import HiddenDatabase
 from repro.api import Engine, EngineConfig, EstimationTask
 from repro.core.aggregates import count_all
 from repro.data.synthetic import skewed_source
-from repro.errors import ExperimentError
-from repro.obs import OBS, set_default_observability
+from repro.obs import OBS
 from repro.service import BudgetGovernor, GovernorConfig, ServiceApp
 
 from test_service_http import _Service, _engine
@@ -31,21 +29,14 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 def _pristine_obs():
     OBS.reset()
     OBS.disable()
-    previous = set_default_observability(None)
     yield
     OBS.reset()
     OBS.disable()
-    set_default_observability(previous)
 
 
-def _run_estimates(observability: bool, rounds: int = 3) -> list[dict]:
+def _run_estimates(rounds: int = 3) -> list[dict]:
     source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
-    config = EngineConfig(
-        k=8,
-        budget_per_round=40,
-        seed=3,
-        observability=observability,
-    )
+    config = EngineConfig(k=8, budget_per_round=40, seed=3)
     db = HiddenDatabase(source.schema)
     db.insert_many(source.batch_columns(600))
     engine = Engine(config, db=db)
@@ -63,10 +54,12 @@ def _run_estimates(observability: bool, rounds: int = 3) -> list[dict]:
 # Case ids are kept stable across releases so per-case results compare.
 @pytest.mark.parametrize("rounds", [3], ids=["vectorized-blocked"])
 def test_estimates_bit_identical_on_vs_off(rounds):
-    off = _run_estimates(False, rounds)
-    OBS.reset()
     OBS.disable()
-    on = _run_estimates(True, rounds)
+    off = _run_estimates(rounds)
+    OBS.reset()
+    OBS.enable()
+    on = _run_estimates(rounds)
+    assert OBS.summary()["queries"]["total"] > 0  # the "on" run recorded
     assert off == on
 
 
@@ -108,52 +101,26 @@ def test_engine_metrics_disabled_still_reports_tasks():
     assert metrics["summary"]["queries"]["total"] == 0
 
 
-# ----------------------------------------------------------------------
-# Config precedence
-# ----------------------------------------------------------------------
-def test_explicit_config_beats_default_and_env(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS", "1")
-    set_default_observability(True)
-    assert EngineConfig(observability=False).resolved_observability() is False
-    monkeypatch.setenv("REPRO_OBS", "0")
-    set_default_observability(False)
-    assert EngineConfig(observability=True).resolved_observability() is True
+def _series_count() -> int:
+    snapshot = OBS.snapshot()
+    return sum(
+        len(snapshot[kind]) for kind in ("counters", "gauges", "histograms")
+    )
 
 
-def test_none_defers_to_default_then_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS", raising=False)
-    assert EngineConfig().resolved_observability() is False
-    monkeypatch.setenv("REPRO_OBS", "yes")
-    assert EngineConfig().resolved_observability() is True
-    set_default_observability(False)  # programmatic beats env
-    assert EngineConfig().resolved_observability() is False
-
-
-def test_observability_must_be_bool_or_none():
-    with pytest.raises(ExperimentError):
-        EngineConfig(observability="on")
-
-
-def test_engine_enables_but_never_disables():
-    _engine()  # observability=None resolves off
-    assert OBS.enabled is False
-    source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
-    config = EngineConfig(k=8, budget_per_round=40, seed=3,
-                          observability=True)
-    Engine(config, schema=source.schema)
-    assert OBS.enabled is True
-    # A later observability=False engine must not switch it back off.
-    Engine(EngineConfig(k=8, budget_per_round=40, seed=3,
-                        observability=False), schema=source.schema)
-    assert OBS.enabled is True
-
-
-def test_config_apply_scopes_registry():
-    config = EngineConfig(observability=True)
-    assert OBS.enabled is False
-    with config.apply():
-        assert OBS.enabled is True
-    assert OBS.enabled is False
+def test_cancel_retires_the_task_series():
+    # Per-task series are created at submit whether or not the plane is
+    # on; without retirement, churn under fresh names grows the registry
+    # (and every /v1/metrics scrape) without bound.
+    engine = _engine(budget=2)
+    before = _series_count()
+    for cycle in range(1000):
+        name = f"cancel-churn-{cycle}"
+        engine.submit(EstimationTask(name, [count_all()], "RS"))
+        engine.run_round()
+        engine.cancel(name)
+    assert engine.tasks() == ()
+    assert _series_count() == before
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +137,7 @@ def test_telemetry_embeds_metrics_and_v1_metrics_scrapes():
         client.run_rounds(rounds=1)
 
         telemetry = client.telemetry()
-        # Pre-PR-9 governor keys survive alongside the new metrics field.
+        # The governor block is the per-tenant usage view.
         assert "governor" in telemetry
         assert telemetry["governor"]["policy"]["queries_per_window"] == 500
         metrics = telemetry["metrics"]

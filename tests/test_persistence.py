@@ -37,6 +37,7 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.hiddendb.schema import boolean_schema
+from repro.obs import OBS
 from repro.service.app import ServiceApp
 from repro.service.cli import build_app, build_parser
 from repro.service.governor import BudgetGovernor, GovernorConfig
@@ -392,6 +393,40 @@ def test_service_kill_and_restore_bit_identical(tmp_path):
         restored.telemetry().to_wire()["governor"]["tenants"]
         == reference.telemetry().to_wire()["governor"]["tenants"]
     )
+
+
+def test_service_restore_honours_observability_off(tmp_path):
+    # An earlier build saved the engine's observability choice in the
+    # snapshot config; a default server wrote ``true``.  On a restore the
+    # operator's flag decides, never the saved config.
+    request = TaskRequest(name="t", estimator="RS", specs=[{"kind": "count"}])
+    reference = build_app(_service_args())
+    reference.submit(request)
+    expected = reference.run_rounds(
+        RoundRequest(rounds=4, advance=True)
+    ).to_wire()
+
+    app = build_app(_service_args(
+        ("--store-dir", str(tmp_path), "--snapshot-every", "2"),
+    ))
+    app.submit(request)
+    app.run_rounds(RoundRequest(rounds=2, advance=True))
+    del app
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    state_path = tmp_path / manifest["directory"] / "state.json"
+    state = json.loads(state_path.read_text())
+    state["config"]["observability"] = True
+    state_path.write_text(json.dumps(state))
+
+    OBS.disable()
+    restored = build_app(_service_args(
+        ("--store-dir", str(tmp_path), "--observability", "off"),
+    ))
+    assert OBS.enabled is False
+    restored.engine.advance_round()
+    got = restored.run_rounds(RoundRequest(rounds=2, advance=True)).to_wire()
+    assert got["results"] == expected["results"][2:]
+    assert OBS.enabled is False
 
 
 def test_snapshot_cadence(tmp_path):
